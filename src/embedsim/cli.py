@@ -22,8 +22,8 @@ import numpy as np
 
 from .convexroof import RoofConfig, convex_roof_estimate, werner_state
 from .embedding import embed_hamiltonian, embed_state
-from .errors import ConfigError, NumericalIntegrityError
-from .evolution import METHODS, evolve_enlarged, evolve_exact
+from .errors import CapacityError, ConfigError, NumericalIntegrityError
+from .evolution import METHODS, EvolutionPlan, evolve, evolve_enlarged
 from .measurement import ShotPlan, sample_monotone
 from .monotones import (
     MONOTONE_PRESETS,
@@ -208,6 +208,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _fail("times", "must be a list of finite numbers")
 
     evolution = raw.get("evolution", {})
+    if not isinstance(evolution, dict):
+        _fail("evolution", "expected an object with 'method' and 'steps'")
     method = evolution.get("method", "exact")
     steps = evolution.get("steps", 1)
     if method not in METHODS:
@@ -308,13 +310,19 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             psi_t = psi0
             tilde_t = embed_state(psi0)
         else:
-            psi_t = PureState.from_amplitudes(
-                evolve_exact(psi0.amplitudes, config.hamiltonian, t), atol=1e-8
+            # The enlarged space is the larger one: evolve it first, so that
+            # a dense cap is hit before any work on the direct path.
+            try:
+                tilde_t = evolve_enlarged(
+                    embed_state(psi0), h_tilde, t,
+                    method=config.evolution_method, steps=config.evolution_steps,
+                )
+            except CapacityError as exc:
+                _fail("evolution.method", f"{exc}; use 'trotter1' or 'trotter2'")
+            plan = EvolutionPlan(
+                config.hamiltonian, t, config.evolution_method, config.evolution_steps
             )
-            tilde_t = evolve_enlarged(
-                embed_state(psi0), h_tilde, t,
-                method=config.evolution_method, steps=config.evolution_steps,
-            )
+            psi_t = PureState.from_amplitudes(evolve(psi0.amplitudes, plan), atol=1e-8)
         direct = evaluate_monotone(psi_t, spec, path="direct")
         embedded = evaluate_monotone(tilde_t, spec, path="embedded")
         if abs(direct.value - embedded.value) >= PATH_AGREEMENT_ATOL:
@@ -404,15 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ExperimentConfig, seed, shots) -> ExperimentConfig:
     plan = config.shots
-    if shots is not None:
-        plan = ShotPlan(shots, plan.seed if plan else 0)
-    if seed is not None and plan is not None:
-        plan = ShotPlan(plan.shots, seed)
-    roof = config.roof
-    if seed is not None and roof is not None:
-        roof = dataclasses.replace(roof, seed=seed)
-    if roof is not None and roof.shots is not None:
-        roof = dataclasses.replace(roof, shots=plan)
+    try:
+        if shots is not None:
+            plan = ShotPlan(shots, plan.seed if plan else 0)
+        if seed is not None and plan is not None:
+            plan = ShotPlan(plan.shots, seed)
+        roof = config.roof
+        if seed is not None and roof is not None:
+            roof = dataclasses.replace(roof, seed=seed)
+        if roof is not None and roof.shots is not None:
+            roof = dataclasses.replace(roof, shots=plan)
+    except ValueError as exc:
+        raise ConfigError(f"--seed/--shots override: {exc}") from exc
     return dataclasses.replace(config, shots=plan, roof=roof)
 
 
@@ -427,7 +438,7 @@ def main(argv=None) -> int:
         config = _apply_overrides(parse_config(raw), args.seed, args.shots)
         records = run(config)
         emit(records, fmt=args.format, destination=args.output)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"embedsim: config error: {exc}", file=sys.stderr)
         return 2
     except NumericalIntegrityError as exc:

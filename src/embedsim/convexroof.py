@@ -70,6 +70,8 @@ class RoofConfig:
             raise ValueError("max_iterations and restarts must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import REALITY_ATOL, EmbeddedHamiltonian, EnlargedState
-from .errors import CapacityError, NumericalIntegrityError
+from .errors import NumericalIntegrityError
 from .pauli import PauliString, PauliSum, _apply_string, y_parity
-
-DENSE_DIM_CAP = 8192
 
 METHODS = ("exact", "trotter1", "trotter2")
 
@@ -38,15 +36,11 @@ class EvolutionPlan:
 
 
 def evolve_exact(s: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
-    """exp(-iHt) @ s via dense Hermitian eigendecomposition."""
-    s = np.asarray(s)
-    dim = 1 << h.n
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(
-            f"dense propagator capped at dimension {DENSE_DIM_CAP}; use the trotter path"
-        )
-    evals, vecs = np.linalg.eigh(h.dense())
-    return (vecs * np.exp(-1j * evals * t)) @ (vecs.conj().T @ s.astype(complex))
+    """exp(-iHt) @ s by projection onto the spectrum of H, which is
+    diagonalised once per PauliSum and reused at every later time."""
+    evals, vecs = h.spectrum
+    coeffs = (np.asarray(s).conj() @ vecs).conj()
+    return vecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
 def _apply_term_exp(coeff: float, string: PauliString, dt: float, s: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ which the enlarged space turns into pairs of ordinary Hermitian expectations
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -132,9 +133,10 @@ class MonotoneValue:
         return float(abs(total))
 
 
-def _expansion(spec: MonotoneSpec) -> list[tuple[float, tuple[str, ...]]]:
-    """Expand contractions over the nonzero metric entries: a list of
-    (sign, per-factor Pauli labels)."""
+@functools.lru_cache(maxsize=32)
+def _expansion(spec: MonotoneSpec) -> tuple[tuple[float, tuple[str, ...]], ...]:
+    """Expand contractions over the nonzero metric entries: (sign,
+    per-factor Pauli labels) per term. Memoised per spec."""
     g = GTensor()
     terms = []
     for assignment in itertools.product(_NONZERO_G, repeat=spec.degree):
@@ -148,12 +150,13 @@ def _expansion(spec: MonotoneSpec) -> list[tuple[float, tuple[str, ...]]]:
             for f in spec.factors
         )
         terms.append((sign, ops))
-    return terms
+    return tuple(terms)
 
 
-def expand_to_observables(spec: MonotoneSpec) -> list[PauliSum]:
+@functools.lru_cache(maxsize=32)
+def expand_to_observables(spec: MonotoneSpec) -> tuple[PauliSum, ...]:
     """Enlarged-space Hermitian observables sufficient to evaluate the
-    monotone: pre-deduplication count is 2 * 3^k."""
+    monotone: pre-deduplication count is 2 * 3^k. Memoised per spec."""
     observables: list[PauliSum] = []
     seen: set[str] = set()
     for _, ops in _expansion(spec):
@@ -163,7 +166,7 @@ def expand_to_observables(spec: MonotoneSpec) -> list[PauliSum]:
             seen.add(op)
             oz, ox = embed_observable(PauliSum.from_terms([(1.0, op)]))
             observables.extend([oz, ox])
-    return observables
+    return tuple(observables)
 
 
 def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:

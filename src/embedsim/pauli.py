@@ -8,6 +8,7 @@ PauliSum is Hermitian by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,16 +63,9 @@ def y_parity(p: PauliString) -> str:
 
 
 def dense_matrix(p: PauliString) -> np.ndarray:
-    """Kronecker materialization; leftmost symbol acts on the most
+    """Dense matrix of one string; leftmost symbol acts on the most
     significant qubit."""
-    if p.n > DENSE_QUBIT_CAP:
-        raise CapacityError(
-            f"dense materialization capped at {DENSE_QUBIT_CAP} qubits, got {p.n}"
-        )
-    out = SINGLE_QUBIT[p.symbols[0]]
-    for c in p.symbols[1:]:
-        out = np.kron(out, SINGLE_QUBIT[c])
-    return out
+    return _dense(p.n, ((1.0, p),))
 
 
 def _masks(p: PauliString) -> tuple[int, int, int]:
@@ -87,22 +81,43 @@ def _masks(p: PauliString) -> tuple[int, int, int]:
     return flip, sign, p.symbols.count("Y")
 
 
-def _apply_string(p: PauliString, s: np.ndarray) -> np.ndarray:
-    """Matrix-free P @ s via bit manipulation."""
-    dim = 1 << p.n
-    if s.shape != (dim,):
-        raise DimensionError(f"state has shape {s.shape}, expected ({dim},)")
+def _phases(p: PauliString, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """(flip mask, phase per column): P[idx ^ flip, idx] = phase[idx], with
+    phase = i^{#Y} * (-1)^{popcount(idx & sign)}."""
     flip, sign, ny = _masks(p)
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
+    parity = np.zeros(idx.size, dtype=np.int64)
     m = sign
     while m:
         shift = m.bit_length() - 1
         parity ^= (idx >> shift) & 1
         m &= ~(1 << shift)
-    phases = (1j**ny) * np.where(parity, -1.0, 1.0)
+    return flip, (1j**ny) * np.where(parity, -1.0, 1.0)
+
+
+def _apply_string(p: PauliString, s: np.ndarray) -> np.ndarray:
+    """Matrix-free P @ s via bit manipulation."""
+    dim = 1 << p.n
+    if s.shape != (dim,):
+        raise DimensionError(f"state has shape {s.shape}, expected ({dim},)")
+    idx = np.arange(dim)
+    flip, phases = _phases(p, idx)
     out = np.empty(dim, dtype=complex)
     out[idx ^ flip] = phases * s
+    return out
+
+
+def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
+    """Dense sum of weighted strings, scattered one nonzero per column and
+    term: O(2^n) work per term."""
+    if n > DENSE_QUBIT_CAP:
+        raise CapacityError(
+            f"dense materialization capped at {DENSE_QUBIT_CAP} qubits, got {n}"
+        )
+    idx = np.arange(1 << n)
+    out = np.zeros((idx.size, idx.size), dtype=complex)
+    for coeff, string in terms:
+        flip, phases = _phases(string, idx)
+        out[idx ^ flip, idx] += coeff * phases
     return out
 
 
@@ -155,14 +170,14 @@ class PauliSum:
         return len(self.terms)
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise CapacityError(
-                f"dense materialization capped at {DENSE_QUBIT_CAP} qubits"
-            )
-        out = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for coeff, string in self.terms:
-            out += coeff * dense_matrix(string)
-        return out
+        return _dense(self.n, self.terms)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of the dense matrix, computed on first
+        use and kept, read-only, for the lifetime of this sum."""
+        evals, vecs = np.linalg.eigh(self.dense())
+        return _freeze(evals), _freeze(vecs)
 
     def to_records(self) -> list[dict]:
         return [{"coeff": c, "pauli": p.symbols} for c, p in self.terms]

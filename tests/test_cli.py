@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import embedsim
 from embedsim.cli import (
     emit,
     ghz_state,
@@ -17,6 +21,20 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli(tmp_path, payload, *args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(embedsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "embedsim.cli", "--config", write_config(tmp_path, payload), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def xx_chain(n):
+    return [{"coeff": 0.5, "pauli": "I" * i + "XX" + "I" * (n - i - 2)} for i in range(n - 1)]
 
 
 BELL_MONOTONE = {
@@ -102,6 +120,43 @@ class TestRun:
         for r in records:
             assert abs(r.value_direct - r.value_embedded) < 1e-9
 
+    @pytest.mark.parametrize("method", ["trotter1", "trotter2"])
+    def test_trotter_direct_reference_follows_method(self, method):
+        config = parse_config({
+            "workflow": "evolve",
+            "initial_state": "bell",
+            "hamiltonian": [{"coeff": 1.0, "pauli": "XY"}, {"coeff": 0.7, "pauli": "ZI"}],
+            "monotone": "concurrence",
+            "times": [0.5],
+            "evolution": {"method": method, "steps": 20},
+        })
+        (record,) = run(config)
+        assert abs(record.value_direct - record.value_embedded) < 1e-12
+
+    def test_trotter_beyond_dense_cap(self, tmp_path):
+        payload = {
+            "workflow": "evolve",
+            "initial_state": "ghz",
+            "n_qubits": 14,
+            "hamiltonian": xx_chain(14),
+            "monotone": "n_qubit",
+            "times": [0.3],
+            "evolution": {"method": "trotter2", "steps": 2},
+        }
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 0, proc.stderr
+        (record,) = json.loads(proc.stdout)
+        assert abs(record["value_direct"] - record["value_embedded"]) < 1e-9
+
+    def test_evolve_diagonalises_each_hamiltonian_once(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        payload = {**WORKED_EXAMPLE_EVOLVE, "times": [0.1 * (k + 1) for k in range(8)]}
+        records = run(parse_config(payload))
+        assert len(records) == 8
+        assert sorted(calls) == [(4, 4), (8, 8)]
+
     def test_monotone_with_shots(self):
         config = parse_config(
             {**BELL_MONOTONE, "shots": {"shots": 100000, "seed": 9}}
@@ -181,6 +236,59 @@ class TestMainExitCodes:
         dest = tmp_path / "no_such_dir" / "out.json"
         assert main(["--config", cfg, "--output", str(dest)]) == 4
         assert not dest.exists()
+
+
+class TestExitCodesWithoutTraceback:
+    def test_exact_beyond_dense_cap(self, tmp_path):
+        payload = {
+            "workflow": "evolve",
+            "initial_state": "ghz",
+            "n_qubits": 13,
+            "hamiltonian": xx_chain(13),
+            "monotone": "n_qubit",
+            "times": [0.3],
+            "evolution": {"method": "exact"},
+        }
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert "evolution.method" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_evolution_given_as_string(self, tmp_path):
+        proc = run_cli(tmp_path, {**WORKED_EXAMPLE_EVOLVE, "evolution": "trotter"})
+        assert proc.returncode == 2
+        assert "'evolution'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_shots_override(self, tmp_path):
+        payload = {**BELL_MONOTONE, "shots": {"shots": 100, "seed": 3}}
+        proc = run_cli(tmp_path, payload, "--shots", "0")
+        assert proc.returncode == 2
+        assert "shots" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_override_on_roof(self, tmp_path):
+        payload = {
+            "workflow": "roof",
+            "monotone": "concurrence",
+            "n_qubits": 2,
+            "mixed_state": {"preset": "werner", "p": 0.8},
+            "roof": {"restarts": 1},
+        }
+        proc = run_cli(tmp_path, payload, "--seed", "-1")
+        assert proc.returncode == 2
+        assert "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_capacity_error_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        from embedsim import CapacityError, cli
+
+        def too_large(config):
+            raise CapacityError("dense materialization capped at 13 qubits, got 14")
+
+        monkeypatch.setattr(cli, "run", too_large)
+        assert main(["--config", write_config(tmp_path, BELL_MONOTONE)]) == 2
+        assert "capped" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -50,6 +50,23 @@ def test_dimension_cap():
         evolve_exact(np.zeros(2**14), h, 1.0)
 
 
+def test_repeated_calls_reuse_one_spectrum(rng, monkeypatch):
+    h = random_pauli_sum(rng, 3)
+    psi = random_state(rng, 3)
+    times = [0.3, 1.1, 2.5]
+    first = [evolve_exact(psi.amplitudes, h, t) for t in times]
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    again = [evolve_exact(psi.amplitudes, h, t) for t in times]
+    assert calls == []
+    fresh = PauliSum.from_records(h.to_records(), n=3)
+    for t, a, b in zip(times, first, again):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, evolve_exact(psi.amplitudes, fresh, t))
+    assert len(calls) == 1
+
+
 def test_commuting_diagram_seeded(rng):
     # enlarged evolution then unembed equals direct evolution
     for _ in range(100):

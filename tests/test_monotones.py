@@ -240,6 +240,11 @@ class TestExpandToObservables:
         labels = [o.terms[0][1].symbols for o in obs]
         assert labels == ["ZIYY", "XIYY", "ZXYY", "XXYY", "ZZYY", "XZYY"]
 
+    def test_memoised_per_spec(self):
+        obs = expand_to_observables(three_tangle_spec())
+        assert isinstance(obs, tuple)
+        assert expand_to_observables(three_tangle_spec()) is obs
+
     def test_count_law(self):
         assert len(expand_to_observables(concurrence_spec())) == 2
         assert len(expand_to_observables(three_tangle_spec())) == 6

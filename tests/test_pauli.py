@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -59,6 +61,14 @@ class TestDenseMatrix:
         with pytest.raises(CapacityError):
             dense_matrix(PauliString("I" * 14))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_short_string_is_exact(self, n):
+        for symbols in itertools.product("IXYZ", repeat=n):
+            label = "".join(symbols)
+            oracle = tensor_oracle(label)
+            assert np.array_equal(dense_matrix(PauliString(label)), oracle)
+            assert np.array_equal(PauliSum.from_terms([(1.0, label)]).dense(), oracle)
+
     @given(pauli_labels)
     def test_hermitian_unitary_traceless(self, label):
         m = dense_matrix(PauliString(label))
@@ -114,6 +124,32 @@ class TestPauliSum:
         for _ in range(20):
             m = random_pauli_sum(rng, 3).dense()
             np.testing.assert_allclose(m, m.conj().T, atol=0)
+
+    def test_dense_matches_kron_reference(self, rng):
+        for n in range(1, 9):
+            for _ in range(5):
+                h = random_pauli_sum(rng, n, max_terms=12)
+                ref = np.zeros((1 << n, 1 << n), dtype=complex)
+                for coeff, string in h.terms:
+                    term = np.ones((1, 1), dtype=complex)
+                    for c in string.symbols:
+                        term = np.kron(term, SINGLE_QUBIT[c])
+                    ref += coeff * term
+                np.testing.assert_allclose(h.dense(), ref, rtol=0, atol=1e-14)
+
+    def test_spectrum_cached_and_read_only(self, rng):
+        h = random_pauli_sum(rng, 3)
+        evals, vecs = h.spectrum
+        assert h.spectrum[1] is vecs
+        np.testing.assert_allclose((vecs * evals) @ vecs.conj().T, h.dense(), atol=1e-12)
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
+
+    def test_spectrum_leaves_equality_and_hash(self, rng):
+        h = random_pauli_sum(rng, 3)
+        fresh = PauliSum.from_records(h.to_records(), n=3)
+        h.spectrum
+        assert h == fresh and hash(h) == hash(fresh)
 
     def test_serialization_roundtrip(self):
         s = PauliSum.from_terms([(0.5, "XYZ"), (-1.25, "IIZ")])
