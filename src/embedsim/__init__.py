@@ -37,13 +37,13 @@ from .evolution import (
 )
 from .measurement import ShotPlan, combine_estimates, sample_expectation, sample_monotone
 from .monotones import (
-    GTensor,
     MonotoneSpec,
     MonotoneValue,
     antilinear_expectation_direct,
     antilinear_expectation_embedded,
     concurrence,
     concurrence_spec,
+    contract,
     evaluate_monotone,
     expand_to_observables,
     n_qubit_monotone,

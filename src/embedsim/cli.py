@@ -24,7 +24,7 @@ from .convexroof import RoofConfig, convex_roof_estimate, werner_state
 from .embedding import embed_hamiltonian, embed_state
 from .errors import CapacityError, ConfigError, NumericalIntegrityError
 from .evolution import METHODS, EvolutionPlan, evolve, evolve_enlarged
-from .measurement import ShotPlan, sample_monotone
+from .measurement import ShotPlan, combine_estimates, sample_monotone
 from .monotones import (
     MONOTONE_PRESETS,
     MonotoneSpec,
@@ -35,6 +35,10 @@ from .monotones import (
 from .pauli import MixedState, PauliSum, PureState, expectation
 
 WORKFLOWS = ("evolve", "monotone", "roof", "count")
+CONFIG_KEYS = (
+    "workflow", "n_qubits", "initial_state", "hamiltonian", "monotone", "times",
+    "evolution", "shots", "roof", "mixed_state",
+)
 PATH_AGREEMENT_ATOL = 1e-9
 
 
@@ -111,6 +115,16 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
+def _object(raw, field: str, keys: tuple[str, ...]) -> dict:
+    """`raw` as a config object; an unknown key fails with its field path."""
+    if not isinstance(raw, dict):
+        _fail(field, "expected an object")
+    for key in raw:
+        if key not in keys:
+            _fail(f"{field}.{key}" if field else key, f"unknown key; expected one of {keys}")
+    return raw
+
+
 def _parse_amplitude(entry) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
@@ -157,8 +171,7 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
 
 
 def _parse_mixed_state(raw) -> MixedState:
-    if not isinstance(raw, dict):
-        _fail("mixed_state", "expected an object")
+    _object(raw, "mixed_state", ("preset", "p", "matrix"))
     try:
         if raw.get("preset") == "werner":
             return werner_state(float(raw["p"]))
@@ -173,6 +186,7 @@ def _parse_mixed_state(raw) -> MixedState:
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
+    _object(raw, "", CONFIG_KEYS)
     workflow = raw.get("workflow")
     if workflow not in WORKFLOWS:
         _fail("workflow", f"expected one of {WORKFLOWS}, got {workflow!r}")
@@ -207,9 +221,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     ):
         _fail("times", "must be a list of finite numbers")
 
-    evolution = raw.get("evolution", {})
-    if not isinstance(evolution, dict):
-        _fail("evolution", "expected an object with 'method' and 'steps'")
+    evolution = _object(raw.get("evolution", {}), "evolution", ("method", "steps"))
     method = evolution.get("method", "exact")
     steps = evolution.get("steps", 1)
     if method not in METHODS:
@@ -219,21 +231,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     shots = None
     if raw.get("shots") is not None:
+        plan = _object(raw["shots"], "shots", ("shots", "seed"))
         try:
-            shots = ShotPlan(int(raw["shots"]["shots"]), int(raw["shots"].get("seed", 0)))
+            shots = ShotPlan(int(plan["shots"]), int(plan.get("seed", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             _fail("shots", str(exc))
 
     roof = None
     if raw.get("roof") is not None:
+        opts = _object(raw["roof"], "roof", (
+            "extra_terms", "max_iterations", "restarts", "tolerance", "seed", "use_shots",
+        ))
         try:
             roof = RoofConfig(
-                extra_terms=int(raw["roof"].get("extra_terms", 2)),
-                max_iterations=int(raw["roof"].get("max_iterations", 500)),
-                restarts=int(raw["roof"].get("restarts", 8)),
-                tolerance=float(raw["roof"].get("tolerance", 1e-6)),
-                seed=int(raw["roof"].get("seed", 0)),
-                shots=shots if raw["roof"].get("use_shots") else None,
+                extra_terms=int(opts.get("extra_terms", 2)),
+                max_iterations=int(opts.get("max_iterations", 500)),
+                restarts=int(opts.get("restarts", 8)),
+                tolerance=float(opts.get("tolerance", 1e-6)),
+                seed=int(opts.get("seed", 0)),
+                shots=shots if opts.get("use_shots") else None,
             )
         except (TypeError, ValueError) as exc:
             _fail("roof", str(exc))
@@ -323,18 +339,19 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
                 config.hamiltonian, t, config.evolution_method, config.evolution_steps
             )
             psi_t = PureState.from_amplitudes(evolve(psi0.amplitudes, plan), atol=1e-8)
-        direct = evaluate_monotone(psi_t, spec, path="direct")
-        embedded = evaluate_monotone(tilde_t, spec, path="embedded")
-        if abs(direct.value - embedded.value) >= PATH_AGREEMENT_ATOL:
+        direct = evaluate_monotone(psi_t, spec, path="direct").value
+        # The embedded value is the exact-expectation limit of the sampled one.
+        per_observable = [expectation(tilde_t, o) for o in observables]
+        embedded = combine_estimates(spec, per_observable)
+        if abs(direct - embedded) >= PATH_AGREEMENT_ATOL:
             raise NumericalIntegrityError(
-                f"direct/embedded paths disagree at t={t}: "
-                f"{direct.value} vs {embedded.value}"
+                f"direct/embedded paths disagree at t={t}: {direct} vs {embedded}"
             )
         record = ResultRecord(
             t=t,
-            value_direct=direct.value,
-            value_embedded=embedded.value,
-            per_observable=[expectation(tilde_t, o) for o in observables],
+            value_direct=direct,
+            value_embedded=embedded,
+            per_observable=per_observable,
             n_observables=len(observables),
             n_tomography=tomography_baseline(spec.n_qubits),
         )

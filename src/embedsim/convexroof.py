@@ -16,7 +16,7 @@ import numpy as np
 from .embedding import embed_state
 from .measurement import ShotPlan, sample_monotone
 from .monotones import EmbeddedEvaluator, MonotoneSpec, evaluate_monotone
-from .pauli import MixedState, PauliString, PureState, dense_matrix
+from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, dense_matrix
 
 RANK_EPS = 1e-10
 RECONSTRUCTION_ATOL = 1e-8
@@ -43,12 +43,7 @@ class Decomposition:
         return len(self.members)
 
     def density_matrix(self) -> np.ndarray:
-        dim = self.members[0][1].amplitudes.size
-        out = np.zeros((dim, dim), dtype=complex)
-        for p, psi in self.members:
-            v = psi.amplitudes
-            out += p * np.outer(v, v.conj())
-        return out
+        return _ensemble_matrix(self.members)
 
     def reconstructs(self, rho: MixedState, atol: float = RECONSTRUCTION_ATOL) -> bool:
         return bool(np.linalg.norm(self.density_matrix() - rho.matrix) <= atol)

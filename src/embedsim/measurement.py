@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import EnlargedState
 from .errors import NumericalIntegrityError
-from .monotones import MonotoneSpec, _expansion, expand_to_observables
+from .monotones import MonotoneSpec, contract, expand_to_observables
 from .pauli import PauliString, PauliSum, expectation
 
 
@@ -55,24 +55,12 @@ def combine_estimates(spec: MonotoneSpec, per_observable: list[float]) -> float:
     """Contract raw per-observable estimates (ordered as expand_to_observables)
     into the monotone scalar. Feeding exact expectations recovers the
     noiseless embedded value."""
-    observables = expand_to_observables(spec)
-    if len(per_observable) != len(observables):
-        raise ValueError(
-            f"expected {len(observables)} estimates, got {len(per_observable)}"
-        )
-    # Observables come in (Z(x)O, X(x)O) pairs keyed by the payload label.
-    pair_of: dict[str, complex] = {}
-    for i in range(0, len(observables), 2):
-        (_, string), = observables[i].terms
-        label = string.symbols[1:]
-        pair_of[label] = per_observable[i] - 1j * per_observable[i + 1]
-    total = 0.0 + 0.0j
-    for sign, ops in _expansion(spec):
-        prod = 1.0 + 0.0j
-        for op in ops:
-            prod *= pair_of[op]
-        total += sign * prod
-    return float(abs(total))
+    est = np.asarray(per_observable, dtype=float)
+    expected = len(expand_to_observables(spec))
+    if est.shape != (expected,):
+        raise ValueError(f"expected {expected} estimates, got shape {est.shape}")
+    # Observables come in (Z(x)O, X(x)O) pairs, one pair per distinct label.
+    return float(contract(spec, est[0::2] - 1j * est[1::2]))
 
 
 def sample_monotone(

@@ -12,32 +12,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .embedding import EnlargedState, embed_observable, embed_state
-from .pauli import PauliSum, PureState, apply_pauli_sum, expectation
+from .pauli import PauliSum, PureState, _freeze, apply_pauli_sum, expectation
 
 PAULI_SYMBOLS = ("I", "X", "Y", "Z")
+# The contraction metric; its zero entry removes sigma_y from contracted slots.
 G_DIAGONAL = (-1.0, 1.0, 0.0, 1.0)
 _NONZERO_G = (0, 1, 3)
-
-CROSS_PATH_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GTensor:
-    """The fixed contraction metric diag(-1, 1, 0, 1); the zero entry removes
-    sigma_y from contracted slots."""
-
-    diagonal: tuple[float, float, float, float] = G_DIAGONAL
-
-    def __post_init__(self):
-        if tuple(self.diagonal) != G_DIAGONAL:
-            raise ValueError(f"contraction metric is fixed at {G_DIAGONAL}")
-
-    def __getitem__(self, idx: int) -> float:
-        return self.diagonal[idx]
 
 
 Slot = str | int  # fixed Pauli symbol or contraction index label
@@ -62,6 +47,8 @@ class MonotoneSpec:
         object.__setattr__(
             self, "contractions", tuple(tuple(c) for c in self.contractions)
         )
+        if not self.factors:
+            raise ValueError("a monotone needs at least one factor")
         slot_labels: list[int] = []
         for f in self.factors:
             if len(f) != self.n_qubits:
@@ -127,46 +114,62 @@ class MonotoneValue:
     observable_count: int
 
     def recompute(self) -> float:
-        total = sum(
-            s * np.prod(facs) for s, facs in zip(self.signs, self.term_expectations)
-        )
-        return float(abs(total))
+        return float(_signed_product(np.array(self.signs), np.array(self.term_expectations)))
+
+
+class _Expansion(NamedTuple):
+    """A spec compiled for contraction: its distinct Pauli labels, one metric
+    sign per term, and the (term x factor) label index of every factor."""
+
+    labels: tuple[str, ...]
+    signs: np.ndarray
+    index: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _expansion(spec: MonotoneSpec) -> tuple[tuple[float, tuple[str, ...]], ...]:
-    """Expand contractions over the nonzero metric entries: (sign,
-    per-factor Pauli labels) per term. Memoised per spec."""
-    g = GTensor()
+def _expansion(spec: MonotoneSpec) -> _Expansion:
+    """Expand contractions over the nonzero metric entries. Memoised per spec;
+    labels come in first-use order, term by term."""
+    signs = []
     terms = []
     for assignment in itertools.product(_NONZERO_G, repeat=spec.degree):
         sign = 1.0
         symbol_of: dict[int, str] = {}
         for (a, b), idx in zip(spec.contractions, assignment):
-            sign *= g[idx]
+            sign *= G_DIAGONAL[idx]
             symbol_of[a] = symbol_of[b] = PAULI_SYMBOLS[idx]
-        ops = tuple(
+        signs.append(sign)
+        terms.append(tuple(
             "".join(s if isinstance(s, str) else symbol_of[s] for s in f)
             for f in spec.factors
-        )
-        terms.append((sign, ops))
-    return tuple(terms)
+        ))
+    position = {op: i for i, op in enumerate(dict.fromkeys(itertools.chain(*terms)))}
+    index = np.array([[position[op] for op in ops] for ops in terms], dtype=np.intp)
+    return _Expansion(tuple(position), _freeze(np.array(signs)), _freeze(index))
+
+
+def _signed_product(signs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """|sum_t signs[t] prod_i factors[..., t, i]|."""
+    return np.abs(factors.prod(axis=-1) @ signs)
+
+
+def contract(spec: MonotoneSpec, antilinear) -> np.ndarray:
+    """The monotone from the antilinear expectations of the spec's distinct
+    labels, ordered as in expand_to_observables: shape (labels,) for one
+    state, (..., labels) for a batch."""
+    e = _expansion(spec)
+    return _signed_product(e.signs, np.asarray(antilinear)[..., e.index])
 
 
 @functools.lru_cache(maxsize=32)
 def expand_to_observables(spec: MonotoneSpec) -> tuple[PauliSum, ...]:
     """Enlarged-space Hermitian observables sufficient to evaluate the
-    monotone: pre-deduplication count is 2 * 3^k. Memoised per spec."""
-    observables: list[PauliSum] = []
-    seen: set[str] = set()
-    for _, ops in _expansion(spec):
-        for op in dict.fromkeys(ops):  # distinct per term, order preserved
-            if op in seen:
-                continue
-            seen.add(op)
-            oz, ox = embed_observable(PauliSum.from_terms([(1.0, op)]))
-            observables.extend([oz, ox])
-    return tuple(observables)
+    monotone: the pair (Z(x)O, X(x)O) per distinct label O, at most 2 * 3^k
+    of them. Memoised per spec."""
+    return tuple(itertools.chain.from_iterable(
+        embed_observable(PauliSum.from_terms([(1.0, label)]))
+        for label in _expansion(spec).labels
+    ))
 
 
 def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:
@@ -187,40 +190,24 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
     if path not in ("direct", "embedded"):
         raise ValueError(f"unknown path {path!r}")
     if path == "embedded":
-        tilde = embed_state(state) if isinstance(state, PureState) else state
-        if tilde.n != spec.n_qubits:
-            raise ValueError(
-                f"state has {tilde.n} qubits, spec expects {spec.n_qubits}"
-            )
-        def antilinear(label: str) -> complex:
-            return antilinear_expectation_embedded(
-                tilde, PauliSum.from_terms([(1.0, label)])
-            )
+        state = embed_state(state) if isinstance(state, PureState) else state
+        antilinear = functools.partial(antilinear_expectation_embedded, state)
+    elif isinstance(state, EnlargedState):
+        raise ValueError("direct path needs a simulated-space PureState")
     else:
-        if isinstance(state, EnlargedState):
-            raise ValueError("direct path needs a simulated-space PureState")
-        if state.n != spec.n_qubits:
-            raise ValueError(
-                f"state has {state.n} qubits, spec expects {spec.n_qubits}"
-            )
-        def antilinear(label: str) -> complex:
-            return antilinear_expectation_direct(
-                state, PauliSum.from_terms([(1.0, label)])
-            )
+        antilinear = functools.partial(antilinear_expectation_direct, state)
+    if state.n != spec.n_qubits:
+        raise ValueError(f"state has {state.n} qubits, spec expects {spec.n_qubits}")
 
-    signs = []
-    per_term = []
-    total = 0.0 + 0.0j
-    cache: dict[str, complex] = {}
-    for sign, ops in _expansion(spec):
-        facs = tuple(cache.setdefault(op, antilinear(op)) for op in ops)
-        signs.append(sign)
-        per_term.append(facs)
-        total += sign * np.prod(facs)
+    e = _expansion(spec)
+    ex = np.array(
+        [antilinear(PauliSum.from_terms([(1.0, label)])) for label in e.labels],
+        dtype=complex,
+    )
     return MonotoneValue(
-        value=float(abs(total)),
-        signs=tuple(signs),
-        term_expectations=tuple(per_term),
+        value=float(contract(spec, ex)),
+        signs=tuple(e.signs.tolist()),
+        term_expectations=tuple(map(tuple, ex[e.index].tolist())),
         observable_count=len(expand_to_observables(spec)),
     )
 
@@ -231,41 +218,17 @@ class EmbeddedEvaluator:
 
     def __init__(self, spec: MonotoneSpec):
         self.spec = spec
-        self._terms = _expansion(spec)
-        # Z(x)O - i X(x)O collapsed into one complex quadratic form; valid
-        # because the evaluator only sees real enlarged vectors.
-        self._combined: dict[str, np.ndarray] = {}
-        for _, ops in self._terms:
-            for op in ops:
-                if op not in self._combined:
-                    oz, ox = embed_observable(PauliSum.from_terms([(1.0, op)]))
-                    self._combined[op] = oz.dense() - 1j * ox.dense()
-
-    def value(self, tilde_vec: np.ndarray) -> float:
-        ex = {
-            op: tilde_vec @ (m @ tilde_vec) for op, m in self._combined.items()
-        }
-        total = 0.0 + 0.0j
-        for sign, ops in self._terms:
-            prod = 1.0 + 0.0j
-            for op in ops:
-                prod *= ex[op]
-            total += sign * prod
-        return float(abs(total))
+        # Z(x)O - i X(x)O collapsed into one complex quadratic form per label;
+        # valid because the evaluator only sees real enlarged vectors.
+        obs = expand_to_observables(spec)
+        self._combined = np.stack(
+            [oz.dense() - 1j * ox.dense() for oz, ox in zip(obs[0::2], obs[1::2])]
+        )
 
     def values_batch(self, tilde_vecs: np.ndarray) -> np.ndarray:
         """Evaluate many enlarged vectors at once (rows of tilde_vecs)."""
-        ex = {
-            op: np.einsum("ij,jk,ik->i", tilde_vecs, m, tilde_vecs)
-            for op, m in self._combined.items()
-        }
-        total = np.zeros(tilde_vecs.shape[0], dtype=complex)
-        for sign, ops in self._terms:
-            prod = np.ones(tilde_vecs.shape[0], dtype=complex)
-            for op in ops:
-                prod = prod * ex[op]
-            total += sign * prod
-        return np.abs(total)
+        ex = ((tilde_vecs @ self._combined) * tilde_vecs).sum(axis=-1)
+        return contract(self.spec, ex.T)
 
 
 # Preset specs ---------------------------------------------------------------

@@ -204,11 +204,12 @@ def _as_vector(s) -> np.ndarray:
 
 
 def expectation(s, o: PauliSum) -> float:
-    """<s|O|s> for Hermitian O; the imaginary residue is asserted tiny and
-    discarded."""
+    """<s|O|s> for Hermitian O; the imaginary residue is asserted tiny
+    relative to the operator's size, sum |c| (at least 1), and discarded."""
     vec = _as_vector(s)
     val = np.vdot(vec, apply_pauli_sum(o, vec))
-    if abs(val.imag) >= HERMITICITY_ATOL:
+    scale = max(1.0, sum(abs(c) for c, _ in o.terms))
+    if abs(val.imag) >= HERMITICITY_ATOL * scale:
         raise ValueError(
             f"expectation has imaginary residue {val.imag:.3e}; operator not Hermitian?"
         )
@@ -255,6 +256,16 @@ class PureState:
         return int(self.amplitudes.size).bit_length() - 1
 
 
+def _ensemble_matrix(members: Sequence[tuple[float, PureState]]) -> np.ndarray:
+    """sum_i p_i |psi_i><psi_i| of a nonempty ensemble."""
+    dim = members[0][1].amplitudes.size
+    mat = np.zeros((dim, dim), dtype=complex)
+    for p, psi in members:
+        v = psi.amplitudes
+        mat += p * np.outer(v, v.conj())
+    return mat
+
+
 @dataclass(frozen=True)
 class MixedState:
     """Density matrix: Hermitian, positive semidefinite, unit trace."""
@@ -283,13 +294,7 @@ class MixedState:
     def from_ensemble(
         cls, members: Iterable[tuple[float, PureState]]
     ) -> "MixedState":
-        members = list(members)
-        dim = members[0][1].amplitudes.size
-        mat = np.zeros((dim, dim), dtype=complex)
-        for p, psi in members:
-            v = psi.amplitudes
-            mat += p * np.outer(v, v.conj())
-        return cls(mat)
+        return cls(_ensemble_matrix(list(members)))
 
     @property
     def n(self) -> int:

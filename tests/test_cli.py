@@ -1,12 +1,15 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import embedsim
+from embedsim import expand_to_observables
 from embedsim.cli import (
     emit,
     ghz_state,
@@ -157,6 +160,33 @@ class TestRun:
         assert len(records) == 8
         assert sorted(calls) == [(4, 4), (8, 8)]
 
+    def test_evolve_with_shots_evaluates_each_observable_twice(self, monkeypatch):
+        # Once for per_observable, once when sampling; value_embedded is the
+        # contraction of per_observable.
+        config = parse_config({
+            "workflow": "evolve",
+            "initial_state": "w",
+            "n_qubits": 3,
+            "hamiltonian": [{"coeff": 0.8, "pauli": "XYZ"}, {"coeff": 0.5, "pauli": "ZZI"}],
+            "monotone": "three_tangle",
+            "times": [0.4],
+            "shots": {"shots": 1000, "seed": 5},
+        })
+        applied = {}
+        original = embedsim.pauli.apply_pauli_sum
+
+        def counting(h, s):
+            if h.n == 4:
+                label = h.terms[0][1].symbols
+                applied[label] = applied.get(label, 0) + 1
+            return original(h, s)
+
+        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum", counting)
+        (record,) = run(config)
+        labels = [o.terms[0][1].symbols for o in expand_to_observables(config.monotone)]
+        assert applied == {label: 2 for label in labels}
+        assert abs(record.value_direct - record.value_embedded) < 1e-9
+
     def test_monotone_with_shots(self):
         config = parse_config(
             {**BELL_MONOTONE, "shots": {"shots": 100000, "seed": 9}}
@@ -289,6 +319,46 @@ class TestExitCodesWithoutTraceback:
         monkeypatch.setattr(cli, "run", too_large)
         assert main(["--config", write_config(tmp_path, BELL_MONOTONE)]) == 2
         assert "capped" in capsys.readouterr().err
+
+
+ROOF_WERNER = {
+    "workflow": "roof",
+    "monotone": "concurrence",
+    "n_qubits": 2,
+    "mixed_state": {"preset": "werner", "p": 0.8},
+    "roof": {"restarts": 1},
+}
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("payload,field", [
+        ({**BELL_MONOTONE, "time": [0.5]}, "'time'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "evolution": {"method": "exact", "step": 2}}, "'evolution.step'"),
+        ({**BELL_MONOTONE, "shots": {"shots": 10, "sead": 1}}, "'shots.sead'"),
+        ({**ROOF_WERNER, "roof": {"restart": 2}}, "'roof.restart'"),
+        ({**ROOF_WERNER, "roof": "fast"}, "'roof'"),
+        ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": 0.8, "q": 1}}, "'mixed_state.q'"),
+    ], ids=["top", "evolution", "shots", "roof", "roof-not-object", "mixed_state"])
+    def test_unknown_or_malformed_field_exits_2(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_configs_parse(self, path):
+        parse_config(json.loads(path.read_text()))
+
+    def test_benchmark_evolve_config_parses(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workload = importlib.import_module("workloads").TrajectoryExact()
+        workload.setup(embedsim, 0, str(tmp_path))
+        workload.prepare(0)
+        config = parse_config(json.loads(Path(workload.config_path).read_text()))
+        assert config.workflow == "evolve" and config.shots is not None
 
 
 class TestDeterminism:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import embedsim
 from embedsim import (
-    GTensor,
     MonotoneSpec,
     PauliSum,
     PureState,
@@ -22,6 +22,7 @@ from embedsim import (
     three_tangle_spec,
     tomography_baseline,
 )
+from embedsim.monotones import MONOTONE_PRESETS, EmbeddedEvaluator
 
 from conftest import (
     random_product_state,
@@ -48,14 +49,6 @@ def brute_force_antilinear(psi, symbols):
     return complex(v.conj() @ mat @ v.conj())
 
 
-class TestGTensor:
-    def test_fixed_diagonal(self):
-        assert GTensor().diagonal == (-1.0, 1.0, 0.0, 1.0)
-        assert GTensor()[2] == 0.0
-        with pytest.raises(ValueError):
-            GTensor((1.0, 1.0, 1.0, 1.0))
-
-
 class TestMonotoneSpec:
     def test_degree(self):
         assert concurrence_spec().degree == 0
@@ -73,6 +66,10 @@ class TestMonotoneSpec:
             MonotoneSpec("bad", 2, ((0, "Y"),), ((0, 1),))
         with pytest.raises(ValueError):
             MonotoneSpec("bad", 2, ((0, 1),), ())
+
+    def test_empty_factors_rejected(self):
+        with pytest.raises(ValueError):
+            MonotoneSpec("constant", 2, ())
 
     def test_bad_slots_rejected(self):
         with pytest.raises(ValueError):
@@ -331,3 +328,39 @@ class TestInvariants:
             psi = random_state(rng, 3)
             mv = three_tangle(psi)
             assert mv.recompute() == pytest.approx(mv.value, abs=1e-12)
+
+
+PRESET_SPECS = [
+    MONOTONE_PRESETS[name](n)
+    for name, n in (("concurrence", 2), ("three_tangle", 3), ("second_order", 2),
+                    ("n_qubit", 2), ("n_qubit", 3), ("n_qubit", 4), ("n_qubit", 5),
+                    ("n_qubit", 6))
+]
+
+
+class TestContraction:
+    @pytest.mark.parametrize("spec", PRESET_SPECS, ids=lambda s: s.name)
+    def test_values_batch_rows_match_embedded_path(self, spec, rng):
+        states = [random_state(rng, spec.n_qubits) for _ in range(5)]
+        rows = np.array([embed_state(psi).amplitudes for psi in states])
+        batch = EmbeddedEvaluator(spec).values_batch(rows)
+        assert batch.shape == (5,)
+        for value, psi in zip(batch, states):
+            embedded = evaluate_monotone(psi, spec, "embedded").value
+            assert abs(value - embedded) < 1e-12
+
+    @pytest.mark.parametrize("path,calls", [("direct", 3), ("embedded", 6)])
+    def test_one_application_per_distinct_label(self, path, calls, monkeypatch, rng):
+        # The 3-tangle has 3 distinct labels, each used twice per term.
+        applied = []
+        original = embedsim.pauli.apply_pauli_sum
+
+        def counting(h, s):
+            applied.append(h.terms[0][1].symbols)
+            return original(h, s)
+
+        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum", counting)
+        monkeypatch.setattr(embedsim.monotones, "apply_pauli_sum", counting)
+        evaluate_monotone(random_state(rng, 3), three_tangle_spec(), path)
+        assert len(applied) == calls
+        assert len(set(applied)) == calls

@@ -201,6 +201,17 @@ class TestExpectation:
             assert expectation(psi, h) == pytest.approx(expected, abs=1e-12)
 
 
+    def test_large_coefficients_are_hermitian(self, rng):
+        # The imaginary rounding residue grows with sum |c|; a fixed bound
+        # rejected most of these valid Hermitian sums.
+        for _ in range(50):
+            h = random_pauli_sum(rng, 8, max_terms=8)
+            h = PauliSum.from_terms([(c * 1e5, p) for c, p in h.terms], n=8)
+            v = random_state(rng, 8).amplitudes
+            expected = (v.conj() @ h.dense() @ v).real
+            assert expectation(v, h) == pytest.approx(expected, rel=1e-9, abs=1e-7)
+
+
 class TestStates:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
