@@ -22,20 +22,20 @@ from .embedding import (
     embed_hamiltonian,
     embed_observable,
     embed_state,
+    reality_residual,
     split_hamiltonian,
     unembed_state,
     unembedding_matrix,
 )
 from .errors import CapacityError, ConfigError, DimensionError, NumericalIntegrityError
-from .evolution import (
-    EvolutionPlan,
-    evolve,
-    evolve_enlarged,
-    evolve_exact,
-    evolve_trotter,
-    reality_residual,
+from .evolution import evolve, evolve_enlarged, evolve_exact, evolve_trotter
+from .measurement import (
+    ShotPlan,
+    combine_estimates,
+    sample_estimates,
+    sample_expectation,
+    sample_monotone,
 )
-from .measurement import ShotPlan, combine_estimates, sample_expectation, sample_monotone
 from .monotones import (
     MonotoneSpec,
     MonotoneValue,

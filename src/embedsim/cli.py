@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -23,8 +24,8 @@ import numpy as np
 from .convexroof import RoofConfig, convex_roof_estimate, werner_state
 from .embedding import embed_hamiltonian, embed_state
 from .errors import CapacityError, ConfigError, NumericalIntegrityError
-from .evolution import METHODS, EvolutionPlan, evolve, evolve_enlarged
-from .measurement import ShotPlan, combine_estimates, sample_monotone
+from .evolution import METHODS, evolve, evolve_enlarged
+from .measurement import ShotPlan, combine_estimates, sample_estimates
 from .monotones import (
     MONOTONE_PRESETS,
     MonotoneSpec,
@@ -115,6 +116,18 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
+@contextlib.contextmanager
+def _field(field: str):
+    """Turn a bad value met while building `field` into a ConfigError that
+    names it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        _fail(field, str(exc))
+
+
 def _object(raw, field: str, keys: tuple[str, ...]) -> dict:
     """`raw` as a config object; an unknown key fails with its field path."""
     if not isinstance(raw, dict):
@@ -130,23 +143,18 @@ def _parse_amplitude(entry) -> complex:
         return complex(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         return complex(entry[0], entry[1])
-    _fail("initial_state", f"amplitude {entry!r} is not a number or [re, im] pair")
+    raise ValueError(f"amplitude {entry!r} is not a number or [re, im] pair")
 
 
 def _parse_state(raw, n_qubits: int | None) -> PureState:
     if isinstance(raw, str):
         if raw not in STATE_PRESETS:
             _fail("initial_state", f"unknown preset {raw!r}")
-        try:
+        with _field("initial_state"):
             return STATE_PRESETS[raw]() if n_qubits is None else STATE_PRESETS[raw](n_qubits)
-        except (TypeError, ValueError) as exc:
-            _fail("initial_state", str(exc))
     if isinstance(raw, list):
-        amps = [_parse_amplitude(a) for a in raw]
-        try:
-            return PureState.from_amplitudes(amps, atol=1e-8)
-        except ValueError as exc:
-            _fail("initial_state", str(exc))
+        with _field("initial_state"):
+            return PureState.from_amplitudes([_parse_amplitude(a) for a in raw], atol=1e-8)
     _fail("initial_state", "expected a preset name or an amplitude list")
 
 
@@ -154,32 +162,23 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
     if isinstance(raw, str):
         if raw not in MONOTONE_PRESETS:
             _fail("monotone", f"unknown preset {raw!r}")
-        try:
-            return (
-                MONOTONE_PRESETS[raw]()
-                if n_qubits is None
-                else MONOTONE_PRESETS[raw](n_qubits)
-            )
-        except (TypeError, ValueError) as exc:
-            _fail("monotone", str(exc))
+        with _field("monotone"):
+            return MONOTONE_PRESETS[raw]() if n_qubits is None else MONOTONE_PRESETS[raw](n_qubits)
     if isinstance(raw, dict):
-        try:
+        _object(raw, "monotone", ("name", "n_qubits", "factors", "contractions"))
+        with _field("monotone"):
             return MonotoneSpec.from_json(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail("monotone", str(exc))
     _fail("monotone", "expected a preset name or a spec object")
 
 
 def _parse_mixed_state(raw) -> MixedState:
     _object(raw, "mixed_state", ("preset", "p", "matrix"))
-    try:
+    with _field("mixed_state"):
         if raw.get("preset") == "werner":
             return werner_state(float(raw["p"]))
         if "matrix" in raw:
             rows = [[_parse_amplitude(e) for e in row] for row in raw["matrix"]]
             return MixedState(np.array(rows, dtype=complex))
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail("mixed_state", str(exc))
     _fail("mixed_state", "expected {'preset': 'werner', 'p': ...} or {'matrix': ...}")
 
 
@@ -197,10 +196,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     hamiltonian = None
     if raw.get("hamiltonian") is not None:
-        try:
+        if not isinstance(raw["hamiltonian"], list):
+            _fail("hamiltonian", "expected a list of {'coeff': ..., 'pauli': ...} records")
+        for i, record in enumerate(raw["hamiltonian"]):
+            _object(record, f"hamiltonian[{i}]", ("coeff", "pauli"))
+        with _field("hamiltonian"):
             hamiltonian = PauliSum.from_records(raw["hamiltonian"])
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail("hamiltonian", str(exc))
 
     state = None
     if raw.get("initial_state") is not None:
@@ -216,10 +217,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("monotone", f"spec is for {monotone.n_qubits} qubits, expected {n_qubits}")
 
     times = raw.get("times", [0.0])
-    if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and np.isfinite(t) for t in times
-    ):
-        _fail("times", "must be a list of finite numbers")
+    with _field("times"):
+        if not isinstance(times, list) or not all(
+            isinstance(t, (int, float)) and np.isfinite(t) for t in times
+        ):
+            _fail("times", "must be a list of finite numbers")
 
     evolution = _object(raw.get("evolution", {}), "evolution", ("method", "steps"))
     method = evolution.get("method", "exact")
@@ -232,27 +234,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
     shots = None
     if raw.get("shots") is not None:
         plan = _object(raw["shots"], "shots", ("shots", "seed"))
-        try:
+        with _field("shots"):
             shots = ShotPlan(int(plan["shots"]), int(plan.get("seed", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail("shots", str(exc))
 
     roof = None
     if raw.get("roof") is not None:
         opts = _object(raw["roof"], "roof", (
             "extra_terms", "max_iterations", "restarts", "tolerance", "seed", "use_shots",
         ))
-        try:
+        use_shots = opts.get("use_shots", False)
+        if not isinstance(use_shots, bool):
+            _fail("roof.use_shots", "must be true or false")
+        if use_shots and shots is None:
+            _fail("roof.use_shots", "needs a top-level 'shots' block")
+        with _field("roof"):
             roof = RoofConfig(
                 extra_terms=int(opts.get("extra_terms", 2)),
                 max_iterations=int(opts.get("max_iterations", 500)),
                 restarts=int(opts.get("restarts", 8)),
                 tolerance=float(opts.get("tolerance", 1e-6)),
                 seed=int(opts.get("seed", 0)),
-                shots=shots if opts.get("use_shots") else None,
+                shots=shots if use_shots else None,
             )
-        except (TypeError, ValueError) as exc:
-            _fail("roof", str(exc))
 
     mixed = None
     if raw.get("mixed_state") is not None:
@@ -335,10 +338,10 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
                 )
             except CapacityError as exc:
                 _fail("evolution.method", f"{exc}; use 'trotter1' or 'trotter2'")
-            plan = EvolutionPlan(
-                config.hamiltonian, t, config.evolution_method, config.evolution_steps
-            )
-            psi_t = PureState.from_amplitudes(evolve(psi0.amplitudes, plan), atol=1e-8)
+            psi_t = PureState.from_amplitudes(evolve(
+                psi0.amplitudes, config.hamiltonian, t,
+                config.evolution_method, config.evolution_steps,
+            ), atol=1e-8)
         direct = evaluate_monotone(psi_t, spec, path="direct").value
         # The embedded value is the exact-expectation limit of the sampled one.
         per_observable = [expectation(tilde_t, o) for o in observables]
@@ -356,8 +359,8 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             n_tomography=tomography_baseline(spec.n_qubits),
         )
         if config.shots is not None:
-            sampled, per_obs = sample_monotone(tilde_t, spec, config.shots)
-            record.value_sampled = sampled
+            per_obs = sample_estimates(per_observable, config.shots)
+            record.value_sampled = combine_estimates(spec, per_obs)
             record.per_observable_sampled = list(per_obs)
         record.duration_ms = (time.perf_counter() - start) * 1e3
         records.append(record)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import embed_state
+from .embedding import EnlargedState
 from .measurement import ShotPlan, sample_monotone
-from .monotones import EmbeddedEvaluator, MonotoneSpec, evaluate_monotone
+from .monotones import EmbeddedEvaluator, MonotoneSpec
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, dense_matrix
 
 RANK_EPS = 1e-10
@@ -87,18 +87,6 @@ def _spectral(rho: MixedState) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-def eigendecomposition_start(rho: MixedState) -> Decomposition:
-    evals, vecs = _spectral(rho)
-    members = tuple(
-        (float(lam), PureState.from_amplitudes(vecs[:, i]))
-        for i, lam in enumerate(evals)
-    )
-    d = Decomposition(members)
-    if not d.reconstructs(rho):
-        raise ValueError("spectral decomposition failed to reconstruct the state")
-    return d
-
-
 def _members_from_isometry(
     evals: np.ndarray, vecs: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,20 +121,39 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
     return d
 
 
+def eigendecomposition_start(rho: MixedState) -> Decomposition:
+    """The spectral ensemble: the identity isometry."""
+    return decomposition_from_isometry(rho, np.eye(_spectral(rho)[0].size))
+
+
+def _ensemble_value(
+    evaluator: EmbeddedEvaluator,
+    probs: np.ndarray,
+    states: np.ndarray,
+    shots: ShotPlan | None,
+) -> float:
+    """sum_j p_j E(phi_j) over the members (rows of `states`) above
+    PROB_FLOOR, each evaluated via the embedded path; with shots, member j
+    samples with seed shots.seed + j."""
+    nz = probs > PROB_FLOOR
+    tilde = np.hstack([states.real, states.imag])
+    if shots is None:
+        return float(probs[nz] @ evaluator.values_batch(tilde[nz]))
+    total = 0.0
+    for j in np.flatnonzero(nz):
+        plan = ShotPlan(shots.shots, (shots.seed + int(j)) % 2**64)
+        e, _ = sample_monotone(EnlargedState(tilde[j]), evaluator.spec, plan)
+        total += probs[j] * e
+    return float(total)
+
+
 def roof_objective(
     d: Decomposition, spec: MonotoneSpec, shots: ShotPlan | None = None
 ) -> float:
     """sum_i p_i E(|psi_i>), every member evaluated via the embedded path."""
-    total = 0.0
-    for i, (p, psi) in enumerate(d.members):
-        tilde = embed_state(psi)
-        if shots is None:
-            e = evaluate_monotone(tilde, spec, path="embedded").value
-        else:
-            member_plan = ShotPlan(shots.shots, (shots.seed + i) % 2**64)
-            e, _ = sample_monotone(tilde, spec, member_plan)
-        total += p * e
-    return total
+    probs = np.array([p for p, _ in d.members])
+    states = np.array([psi.amplitudes for _, psi in d.members])
+    return _ensemble_value(EmbeddedEvaluator(spec), probs, states, shots)
 
 
 def _hermitian_from_params(x: np.ndarray, k: int) -> np.ndarray:
@@ -242,19 +249,8 @@ def convex_roof_estimate(
     evaluator = EmbeddedEvaluator(spec)
 
     def objective(x: np.ndarray) -> float:
-        w = _isometry_from_params(x, k, r)
-        probs, states = _members_from_isometry(evals, vecs, w)
-        nz = probs > PROB_FLOOR
-        if cfg.shots is None:
-            tilde = np.hstack([states[nz].real, states[nz].imag])
-            return float(probs[nz] @ evaluator.values_batch(tilde))
-        total = 0.0
-        for i in np.flatnonzero(nz):
-            psi = PureState.from_amplitudes(states[i])
-            plan = ShotPlan(cfg.shots.shots, (cfg.shots.seed + int(i)) % 2**64)
-            e, _ = sample_monotone(embed_state(psi), spec, plan)
-            total += probs[i] * e
-        return float(total)
+        probs, states = _members_from_isometry(evals, vecs, _isometry_from_params(x, k, r))
+        return _ensemble_value(evaluator, probs, states, cfg.shots)
 
     rng = np.random.default_rng(cfg.seed)
     best = None

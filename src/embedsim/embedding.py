@@ -20,6 +20,11 @@ from .pauli import NORM_ATOL, PauliString, PauliSum, PureState, _freeze, y_parit
 REALITY_ATOL = 1e-10
 
 
+def reality_residual(s: np.ndarray) -> float:
+    """Max absolute imaginary component accumulated by a propagator."""
+    return float(np.max(np.abs(np.imag(s)), initial=0.0))
+
+
 @dataclass(frozen=True)
 class EnlargedState:
     """Real amplitude vector over n+1 qubits simulating an n-qubit state."""
@@ -29,7 +34,7 @@ class EnlargedState:
     def __post_init__(self):
         arr = np.asarray(self.amplitudes)
         if np.iscomplexobj(arr):
-            residual = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
+            residual = reality_residual(arr)
             if residual >= REALITY_ATOL:
                 raise NumericalIntegrityError(
                     f"imaginary residue {residual:.3e} exceeds {REALITY_ATOL}"
@@ -40,7 +45,7 @@ class EnlargedState:
         if size < 4 or size & (size - 1):
             raise ValueError(f"enlarged vector length {size} is not a power of two >= 4")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"enlarged state norm {norm} deviates from 1")
         object.__setattr__(self, "amplitudes", _freeze(arr.copy()))
 

@@ -24,8 +24,8 @@ class ShotPlan:
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not 1 <= self.shots < 2**63:
+            raise ValueError("shots must lie in [1, 2^63)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -38,9 +38,9 @@ def _rng_for(plan: ShotPlan, index: int) -> np.random.Generator:
     )
 
 
-def sample_expectation(s, p: PauliString, plan: ShotPlan, index: int = 0) -> float:
-    """Mean of S simulated +/-1 outcomes with p(+1) = (1 + <P>)/2."""
-    exact = expectation(s, PauliSum.from_terms([(1.0, p)]))
+def _draw(exact: float, plan: ShotPlan, index: int) -> float:
+    """Mean of S simulated +/-1 outcomes with p(+1) = (1 + exact)/2, drawn
+    from stream `index` of the plan."""
     p_plus = (1.0 + exact) / 2.0
     if p_plus < -1e-10 or p_plus > 1.0 + 1e-10:
         raise NumericalIntegrityError(
@@ -49,6 +49,17 @@ def sample_expectation(s, p: PauliString, plan: ShotPlan, index: int = 0) -> flo
     p_plus = min(max(p_plus, 0.0), 1.0)
     successes = _rng_for(plan, index).binomial(plan.shots, p_plus)
     return 2.0 * successes / plan.shots - 1.0
+
+
+def sample_expectation(s, p: PauliString, plan: ShotPlan, index: int = 0) -> float:
+    """Shot estimate of <P> on s, drawn from stream `index` of the plan."""
+    return _draw(expectation(s, PauliSum.from_terms([(1.0, p)])), plan, index)
+
+
+def sample_estimates(exact, plan: ShotPlan) -> tuple[float, ...]:
+    """Shot estimates of +/-1 valued observables from their exact
+    expectations; observable i draws from stream i of the plan."""
+    return tuple([_draw(e, plan, i) for i, e in enumerate(exact)])
 
 
 def combine_estimates(spec: MonotoneSpec, per_observable: list[float]) -> float:
@@ -71,10 +82,6 @@ def sample_monotone(
         raise ValueError(
             f"state simulates {tilde.n} qubits, spec expects {spec.n_qubits}"
         )
-    observables = expand_to_observables(spec)
-    estimates = []
-    for i, obs in enumerate(observables):
-        (coeff, string), = obs.terms
-        assert coeff == 1.0, "expanded observables are single unit-weight strings"
-        estimates.append(sample_expectation(tilde, string, plan, index=i))
-    return combine_estimates(spec, estimates), tuple(estimates)
+    exact = [expectation(tilde, o) for o in expand_to_observables(spec)]
+    estimates = sample_estimates(exact, plan)
+    return combine_estimates(spec, estimates), estimates

@@ -268,29 +268,19 @@ MONOTONE_PRESETS = {
 }
 
 
-def _check_qubits(psi: PureState, n: int, what: str):
-    if psi.n != n:
-        raise ValueError(f"{what} is defined for {n} qubits, state has {psi.n}")
-
-
 def concurrence(psi: PureState, path: str = "direct") -> MonotoneValue:
-    _check_qubits(psi, 2, "concurrence")
     return evaluate_monotone(psi, concurrence_spec(), path)
 
 
 def three_tangle(psi: PureState, path: str = "direct") -> MonotoneValue:
-    _check_qubits(psi, 3, "the 3-tangle")
     return evaluate_monotone(psi, three_tangle_spec(), path)
 
 
 def n_qubit_monotone(psi: PureState, path: str = "direct") -> MonotoneValue:
-    if psi.n < 2:
-        raise ValueError("the monotone family starts at 2 qubits")
     return evaluate_monotone(psi, n_qubit_spec(psi.n), path)
 
 
 def second_order_two_qubit_monotone(psi: PureState, path: str = "direct") -> MonotoneValue:
-    _check_qubits(psi, 2, "the second-order monotone")
     return evaluate_monotone(psi, second_order_spec(), path)
 
 

@@ -7,6 +7,7 @@ PauliSum is Hermitian by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -146,6 +147,8 @@ class PauliSum:
                     f"term {string} acts on {string.n} qubits, sum declares {self.n}"
                 )
             merged[string.symbols] = merged.get(string.symbols, 0.0) + float(coeff)
+        if not all(map(math.isfinite, merged.values())):
+            raise ValueError("PauliSum coefficients must be finite")
         canonical = tuple(
             (c, PauliString(s)) for s, c in merged.items() if c != 0.0
         )
@@ -238,7 +241,7 @@ class PureState:
         arr = np.asarray(self.amplitudes, dtype=complex)
         _qubit_count(arr.size, "amplitude vector")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(arr.copy()))
 
@@ -247,7 +250,7 @@ class PureState:
         """Renormalize a nearly normalized vector (tolerance atol)."""
         arr = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > atol:
+        if not abs(norm - 1.0) <= atol:
             raise ValueError(f"amplitudes have norm {norm}, outside tolerance {atol}")
         return cls(arr / norm)
 
@@ -277,6 +280,8 @@ class MixedState:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"density matrix must be square, got {mat.shape}")
         _qubit_count(mat.shape[0], "density matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > NORM_ATOL:

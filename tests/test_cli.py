@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import os
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import embedsim
-from embedsim import expand_to_observables
+from embedsim import ConfigError, expand_to_observables
 from embedsim.cli import (
     emit,
     ghz_state,
@@ -21,8 +24,9 @@ from embedsim.cli import (
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write a config; a str payload is written verbatim."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -160,9 +164,8 @@ class TestRun:
         assert len(records) == 8
         assert sorted(calls) == [(4, 4), (8, 8)]
 
-    def test_evolve_with_shots_evaluates_each_observable_twice(self, monkeypatch):
-        # Once for per_observable, once when sampling; value_embedded is the
-        # contraction of per_observable.
+    def test_evolve_with_shots_evaluates_each_observable_once(self, monkeypatch):
+        # per_observable feeds both value_embedded and the shot sampler.
         config = parse_config({
             "workflow": "evolve",
             "initial_state": "w",
@@ -184,7 +187,7 @@ class TestRun:
         monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum", counting)
         (record,) = run(config)
         labels = [o.terms[0][1].symbols for o in expand_to_observables(config.monotone)]
-        assert applied == {label: 2 for label in labels}
+        assert applied == {label: 1 for label in labels}
         assert abs(record.value_direct - record.value_embedded) < 1e-9
 
     def test_monotone_with_shots(self):
@@ -389,3 +392,135 @@ class TestDeterminism:
         assert main(["--config", cfg, "--shots", "50"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed[0]["value_sampled"] is not None
+
+
+class TestStrictShotsAndNestedKeys:
+    @pytest.mark.parametrize("payload,field", [
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "use_shots": True}}, "'roof.use_shots'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "use_shots": "no"}, "shots": {"shots": 10}},
+         "'roof.use_shots'"),
+        ({**BELL_MONOTONE, "monotone": {
+            "name": "c", "n_qubits": 2, "factors": [["Y", "Y"]], "contractions": [], "factor": 2,
+        }}, "'monotone.factor'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": 1.0, "pauli": "XY", "coef": 2.0}]},
+         "'hamiltonian[0].coef'"),
+    ], ids=["use_shots-without-shots", "use_shots-not-boolean", "monotone-key", "hamiltonian-key"])
+    def test_exits_2_naming_the_field(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestOverflowExitsWithoutTraceback:
+    def test_shot_count_beyond_int64(self, tmp_path):
+        proc = run_cli(tmp_path, {**BELL_MONOTONE, "shots": {"shots": 1e30}})
+        assert proc.returncode == 2
+        assert "'shots'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_shots_override_beyond_int64(self, tmp_path):
+        proc = run_cli(tmp_path, BELL_MONOTONE, "--shots", "1" + "0" * 30)
+        assert proc.returncode == 2
+        assert "shots" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_infinite_restarts(self, tmp_path):
+        # 1e400 is valid JSON; Python's parser reads it as float infinity.
+        text = json.dumps({**ROOF_WERNER, "roof": {"restarts": 0}}).replace(
+            '"restarts": 0', '"restarts": 1e400'
+        )
+        proc = run_cli(tmp_path, text)
+        assert proc.returncode == 2
+        assert "'roof'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+FUZZ_BASE = {
+    "workflow": "evolve",
+    "n_qubits": 2,
+    "initial_state": "bell",
+    "hamiltonian": [{"coeff": 1.0, "pauli": "XY"}, {"coeff": 0.5, "pauli": "ZI"}],
+    "monotone": {"name": "c", "n_qubits": 2, "factors": [["Y", {"idx": 0}], ["Y", {"idx": 1}]],
+                 "contractions": [[0, 1]]},
+    "times": [0.0, 0.5],
+    "evolution": {"method": "trotter2", "steps": 4},
+    "shots": {"shots": 100, "seed": 1},
+    "roof": {"extra_terms": 1, "max_iterations": 10, "restarts": 1, "tolerance": 1e-6,
+             "seed": 0, "use_shots": True},
+    "mixed_state": {"preset": "werner", "p": 0.8},
+}
+# The same config with the state and the mixed state given as numbers.
+LISTS_BASE = {
+    **FUZZ_BASE,
+    "initial_state": [[0.6, 0.0], 0.0, 0.0, [0.0, 0.8]],
+    "mixed_state": {"matrix": [[0.5, 0.0], [0.0, [0.5, 0.0]]]},
+}
+# Every field of the two bases, as (base, path of keys). The state presets
+# ignore n_qubits or get 2, so no value makes the parser allocate a large state.
+FUZZ_FIELDS = [(FUZZ_BASE, path) for path in [
+    *((key,) for key in FUZZ_BASE),
+    ("hamiltonian", 0), ("hamiltonian", 0, "coeff"), ("hamiltonian", 0, "pauli"),
+    ("monotone", "name"), ("monotone", "n_qubits"), ("monotone", "factors"),
+    ("monotone", "factors", 0), ("monotone", "factors", 0, 1), ("monotone", "factors", 0, 1, "idx"),
+    ("monotone", "contractions"), ("monotone", "contractions", 0),
+    ("monotone", "contractions", 0, 1), ("times", 1),
+    ("evolution", "method"), ("evolution", "steps"), ("shots", "shots"), ("shots", "seed"),
+    *(("roof", key) for key in FUZZ_BASE["roof"]),
+    ("mixed_state", "preset"), ("mixed_state", "p"),
+]] + [(LISTS_BASE, path) for path in [
+    ("initial_state",), ("initial_state", 0), ("initial_state", 0, 1), ("initial_state", 3),
+    ("mixed_state", "matrix"), ("mixed_state", "matrix", 1), ("mixed_state", "matrix", 1, 1),
+    ("mixed_state", "matrix", 1, 1, 0), ("mixed_state", "preset"),
+]]
+# Values at the edges of what the parser converts (int64, float range, NaN,
+# names it knows), drawn as often as arbitrary scalars.
+EDGE_VALUES = [
+    -1, 0, 1, 2, 2**63, 10**400, -(10**400), 1e300, float("inf"), float("-inf"), float("nan"),
+    "", "1", "bell", "ghz", "exact", "trotter1", "werner", "concurrence", "XY", "Y", "idx",
+]
+JSON_VALUES = st.recursive(
+    st.sampled_from(EDGE_VALUES)
+    | (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["idx", "coeff", "pauli", "p", "x"]), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def with_value(field, value):
+    """A copy of field's base config with the value at field's path."""
+    base, path = field
+    raw = copy.deepcopy(base)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw
+
+
+class TestConfigFuzz:
+    """parse_config returns a config or raises ConfigError, whatever JSON
+    value a field holds."""
+
+    def test_edge_values_in_every_field(self):
+        parse_config(FUZZ_BASE)
+        parse_config(LISTS_BASE)
+        escaped = []
+        for field in FUZZ_FIELDS:
+            for value in EDGE_VALUES:
+                try:
+                    parse_config(with_value(field, value))
+                except ConfigError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other type is the failure
+                    escaped.append((field[1], value, repr(exc)))
+        assert escaped == []
+
+    @settings(max_examples=300)
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+    def test_json_values_in_any_field(self, field, value):
+        try:
+            parse_config(with_value(field, value))
+        except ConfigError:
+            pass

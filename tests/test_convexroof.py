@@ -119,6 +119,21 @@ class TestRoofObjective:
         d = eigendecomposition_start(rho)
         assert roof_objective(d, concurrence_spec()) >= wootters_oracle(rho) - 1e-9
 
+    # extra_terms=0 keeps the shot-noise solve short: every objective call
+    # samples every member of the decomposition.
+    @pytest.mark.parametrize("shots", [None, ShotPlan(500, 13)], ids=["exact", "shots"])
+    def test_roof_value_is_the_objective_of_its_decomposition(self, shots):
+        cfg = RoofConfig(extra_terms=0, restarts=2, max_iterations=30, shots=shots)
+        result = convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg)
+        objective = roof_objective(result.decomposition, concurrence_spec(), shots=cfg.shots)
+        assert result.value == pytest.approx(objective, abs=1e-12)
+
+    def test_shot_noise_roof_is_deterministic(self):
+        cfg = RoofConfig(extra_terms=0, restarts=1, max_iterations=10, shots=ShotPlan(500, 13))
+        a, b = (convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg) for _ in range(2))
+        assert (a.value, a.history, a.iterations) == (b.value, b.history, b.iterations)
+        np.testing.assert_array_equal(a.decomposition.density_matrix(), b.decomposition.density_matrix())
+
     def test_shot_injected_objective_is_deterministic(self, rng):
         d = Decomposition(((1.0, BELL),))
         plan = ShotPlan(2000, 3)

@@ -3,7 +3,6 @@ import pytest
 
 from embedsim import (
     CapacityError,
-    EvolutionPlan,
     PauliSum,
     embed_hamiltonian,
     embed_state,
@@ -20,12 +19,13 @@ from conftest import random_pauli_sum, random_real_state, random_state
 
 def test_plan_validation():
     h = PauliSum.from_terms([(1.0, "Z")])
+    s = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        EvolutionPlan(h, 1.0, method="rk4")
+        evolve(s, h, 1.0, method="rk4")
     with pytest.raises(ValueError):
-        EvolutionPlan(h, np.inf)
+        evolve(s, h, np.inf)
     with pytest.raises(ValueError):
-        EvolutionPlan(h, 1.0, method="trotter1", steps=0)
+        evolve(s, h, 1.0, method="trotter1", steps=0)
 
 
 def test_zero_time_identity(rng):
@@ -137,12 +137,8 @@ def test_trotter_keeps_enlarged_states_real(rng):
 def test_unitarity_all_methods(rng):
     h = random_pauli_sum(rng, 2)
     psi = random_state(rng, 2)
-    for plan in (
-        EvolutionPlan(h, 1.7),
-        EvolutionPlan(h, 1.7, "trotter1", 32),
-        EvolutionPlan(h, 1.7, "trotter2", 32),
-    ):
-        out = evolve(psi.amplitudes, plan)
+    for method, steps in (("exact", 1), ("trotter1", 32), ("trotter2", 32)):
+        out = evolve(psi.amplitudes, h, 1.7, method, steps)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -11,6 +11,7 @@ from embedsim import (
     evaluate_monotone,
     expand_to_observables,
     expectation,
+    sample_estimates,
     sample_expectation,
     sample_monotone,
     three_tangle_spec,
@@ -28,6 +29,28 @@ def test_shot_plan_validation():
         ShotPlan(0, 1)
     with pytest.raises(ValueError):
         ShotPlan(10, -1)
+
+
+def test_shot_plan_rejects_shots_beyond_int64():
+    ShotPlan(2**63 - 1, 0)
+    with pytest.raises(ValueError):
+        ShotPlan(2**63, 0)
+
+
+def test_estimates_from_exact_values_match_the_samplers(rng):
+    # Observable i draws from stream i: the estimates from precomputed exact
+    # expectations are bit-identical to sample_monotone's and to
+    # sample_expectation at the same index.
+    spec = three_tangle_spec()
+    tilde = embed_state(random_state(rng, 3))
+    plan = ShotPlan(1000, 8)
+    observables = expand_to_observables(spec)
+    estimates = sample_estimates([expectation(tilde, o) for o in observables], plan)
+    assert sample_monotone(tilde, spec, plan) == (combine_estimates(spec, estimates), estimates)
+    assert estimates == tuple(
+        sample_expectation(tilde, o.terms[0][1], plan, index=i)
+        for i, o in enumerate(observables)
+    )
 
 
 def test_eigenstate_is_deterministic():

@@ -120,6 +120,15 @@ class TestPauliSum:
         with pytest.raises(DimensionError):
             PauliSum.from_terms([(1.0, "X"), (1.0, "XY")])
 
+    @pytest.mark.parametrize("terms", [
+        [(float("nan"), "X")],
+        [(float("inf"), "X")],
+        [(1e308, "XY"), (1e308, "XY")],  # finite terms that merge to inf
+    ], ids=["nan", "inf", "merged-overflow"])
+    def test_rejects_non_finite_coefficients(self, terms):
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum.from_terms(terms)
+
     def test_dense_hermitian(self, rng):
         for _ in range(20):
             m = random_pauli_sum(rng, 3).dense()
@@ -233,6 +242,15 @@ class TestStates:
             MixedState(np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
         with pytest.raises(ValueError):
             MixedState(np.eye(2))  # trace 2
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, entry):
+        with pytest.raises(ValueError):
+            PureState(np.array([entry, 0.0]))
+        with pytest.raises(ValueError):
+            PureState.from_amplitudes([entry, 0.0])
+        with pytest.raises(ValueError):
+            MixedState(np.array([[1.0, entry], [entry, 0.0]]))
 
     def test_mixed_state_from_ensemble(self, rng):
         psi = random_state(rng, 2)
