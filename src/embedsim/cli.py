@@ -41,6 +41,11 @@ CONFIG_KEYS = (
     "evolution", "shots", "roof", "mixed_state",
 )
 PATH_AGREEMENT_ATOL = 1e-9
+# Caps on a config's loop counts, far above the 20 steps, 8 restarts and 500
+# iterations any shipped config, test or benchmark asks for.
+MAX_EVOLUTION_STEPS = 10**6
+MAX_ROOF_RESTARTS = 10**3
+MAX_ROOF_ITERATIONS = 10**5
 
 
 def bell_state() -> PureState:
@@ -228,8 +233,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     steps = evolution.get("steps", 1)
     if method not in METHODS:
         _fail("evolution.method", f"expected one of {METHODS}")
-    if not isinstance(steps, int) or steps < 1:
-        _fail("evolution.steps", "must be a positive integer")
+    if not isinstance(steps, int) or not 1 <= steps <= MAX_EVOLUTION_STEPS:
+        _fail("evolution.steps", f"must be an integer in [1, {MAX_EVOLUTION_STEPS}]")
 
     shots = None
     if raw.get("shots") is not None:
@@ -256,6 +261,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 seed=int(opts.get("seed", 0)),
                 shots=shots if use_shots else None,
             )
+        for key, cap in (("restarts", MAX_ROOF_RESTARTS), ("max_iterations", MAX_ROOF_ITERATIONS)):
+            if getattr(roof, key) > cap:
+                _fail(f"roof.{key}", f"must be at most {cap}")
 
     mixed = None
     if raw.get("mixed_state") is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding import EmbeddedHamiltonian, EnlargedState
-from .pauli import PauliString, PauliSum, _apply_string, y_parity
+from .pauli import PauliSum, _checked, _kernel
 
 METHODS = ("exact", "trotter1", "trotter2")
 
@@ -24,40 +24,32 @@ def evolve_exact(s: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
     return vecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
-def _apply_term_exp(coeff: float, string: PauliString, dt: float, s: np.ndarray) -> np.ndarray:
-    """exp(-i * coeff * dt * P) @ s using cos(a) I - i sin(a) P."""
-    angle = coeff * dt
-    if not np.iscomplexobj(s) and y_parity(string) == "odd":
-        # -iP is real for odd-parity P: the rotation never leaves real space.
-        rotated = (-1j * _apply_string(string, s)).real
-        return np.cos(angle) * s + np.sin(angle) * rotated
-    return np.cos(angle) * s - 1j * np.sin(angle) * _apply_string(string, s)
-
-
 def evolve_trotter(
     s: np.ndarray, h: PauliSum, t: float, steps: int, order: int = 1
 ) -> np.ndarray:
     """Product-formula propagation; order 2 uses the palindromic sequence.
 
     Terms are applied in the stored order of the PauliSum so trajectories
-    are reproducible.
+    are reproducible. Each factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s is
+    written in place into one state buffer through one scratch buffer. Both
+    are real when s is real and every -iP is, as for the odd-Y terms of an
+    EmbeddedHamiltonian.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    out = np.array(s, copy=True)
-    dt = t / steps
-    terms = h.terms
+    s, dt = _checked(s, h.n), t / steps / order
+    factors = [(np.cos(c * dt), np.sin(c * dt) * -1j * k.phase, k)
+               for c, k in ((c, _kernel(p.symbols)) for c, p in h.terms)]
+    real = not np.iscomplexobj(s) and all(w.imag == 0 for _, w, _ in factors)
+    out = np.array(s, dtype=float if real else complex)
+    scratch = np.empty_like(out)
     for _ in range(steps):
-        if order == 1:
-            for coeff, string in terms:
-                out = _apply_term_exp(coeff, string, dt, out)
-        else:
-            for coeff, string in terms:
-                out = _apply_term_exp(coeff, string, dt / 2, out)
-            for coeff, string in reversed(terms):
-                out = _apply_term_exp(coeff, string, dt / 2, out)
+        for cos, w, k in factors if order == 1 else factors + factors[::-1]:
+            k.image(out, w, scratch)
+            out *= cos
+            out += scratch
     return out
 
 

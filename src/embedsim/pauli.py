@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,46 +69,58 @@ def dense_matrix(p: PauliString) -> np.ndarray:
     return _dense(p.n, ((1.0, p),))
 
 
-def _masks(p: PauliString) -> tuple[int, int, int]:
-    """(flip mask, sign mask, y count). Qubit q maps to bit n-1-q."""
-    flip = sign = 0
-    n = p.n
-    for q, c in enumerate(p.symbols):
-        bit = 1 << (n - 1 - q)
-        if c in "XY":
-            flip |= bit
-        if c in "ZY":
-            sign |= bit
-    return flip, sign, p.symbols.count("Y")
+# Per-qubit sign factors of P s = i^{#Y} * signs * flip(s); Y's is Z's, flipped.
+_SIGN_FACTORS = {"I": (1, 1), "X": (1, 1), "Z": (1, -1), "Y": (-1, 1)}
+KERNEL_CACHE_SIZE = 256  # distinct labels kept, 2^n bytes each
 
 
-def _phases(p: PauliString, idx: np.ndarray) -> tuple[int, np.ndarray]:
-    """(flip mask, phase per column): P[idx ^ flip, idx] = phase[idx], with
-    phase = i^{#Y} * (-1)^{popcount(idx & sign)}."""
-    flip, sign, ny = _masks(p)
-    parity = np.zeros(idx.size, dtype=np.int64)
-    m = sign
-    while m:
-        shift = m.bit_length() - 1
-        parity ^= (idx >> shift) & 1
-        m &= ~(1 << shift)
-    return flip, (1j**ny) * np.where(parity, -1.0, 1.0)
+class _Kernel(NamedTuple):
+    """What applying one string P needs: P s = phase * signs * flip(s), with
+    flip reversing the X/Y axes of the (2,)*n view of s (index `axes`, bit
+    mask `flip`, qubit q at bit n-1-q), `signs` a read-only int8 +/-1 array
+    of shape (2,)*n already permuted by the flip, and `phase` = i^{#Y}."""
+
+    flip: int
+    axes: tuple[slice, ...]
+    signs: np.ndarray
+    phase: complex
+
+    def image(self, s: np.ndarray, weight: complex, out: np.ndarray) -> np.ndarray:
+        """out = weight * signs * flip(s), in place. A real `out` takes the
+        real part of the weight, which its caller has made real."""
+        shape = self.signs.shape
+        np.multiply(self.signs, s.reshape(shape)[self.axes], out=out.reshape(shape))
+        return np.multiply(out, weight.real if out.dtype.kind == "f" else weight, out=out)
 
 
-def _apply_string(p: PauliString, s: np.ndarray) -> np.ndarray:
-    """Matrix-free P @ s via bit manipulation."""
-    dim = 1 << p.n
-    if s.shape != (dim,):
-        raise DimensionError(f"state has shape {s.shape}, expected ({dim},)")
-    idx = np.arange(dim)
-    flip, phases = _phases(p, idx)
-    out = np.empty(dim, dtype=complex)
-    out[idx ^ flip] = phases * s
-    return out
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(symbols: str) -> _Kernel:
+    """The kernel of a label, shared by every PauliString that spells it."""
+    signs = reduce(np.multiply.outer, (np.array(_SIGN_FACTORS[c], np.int8) for c in symbols))
+    return _Kernel(
+        flip=int("".join("1" if c in "XY" else "0" for c in symbols), 2),
+        axes=tuple(slice(None, None, -1 if c in "XY" else 1) for c in symbols),
+        signs=_freeze(signs),
+        phase=(1 + 0j, 1j, -1 + 0j, -1j)[symbols.count("Y") % 4],
+    )
+
+
+def _checked(s, n: int) -> np.ndarray:
+    s = np.asarray(s)
+    if s.shape != (1 << n,):
+        raise DimensionError(f"state has shape {s.shape}, expected ({1 << n},)")
+    return s
+
+
+def _apply_string(p: PauliString, s: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """weight * P @ s, matrix-free; real when s and weight * i^{#Y} are."""
+    s, k = _checked(s, p.n), _kernel(p.symbols)
+    w = weight * k.phase
+    return k.image(s, w, np.empty(s.size, complex if w.imag or np.iscomplexobj(s) else float))
 
 
 def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
-    """Dense sum of weighted strings, scattered one nonzero per column and
+    """Dense sum of weighted strings, scattered one nonzero per row and
     term: O(2^n) work per term."""
     if n > DENSE_QUBIT_CAP:
         raise CapacityError(
@@ -117,8 +129,8 @@ def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
     idx = np.arange(1 << n)
     out = np.zeros((idx.size, idx.size), dtype=complex)
     for coeff, string in terms:
-        flip, phases = _phases(string, idx)
-        out[idx ^ flip, idx] += coeff * phases
+        k = _kernel(string.symbols)
+        out[idx, idx ^ k.flip] += (coeff * k.phase) * k.signs.reshape(-1)
     return out
 
 
@@ -191,25 +203,27 @@ class PauliSum:
 
 
 def apply_pauli_sum(h: PauliSum, s: np.ndarray) -> np.ndarray:
-    """H @ s without materializing H."""
-    s = np.asarray(s)
-    dim = 1 << h.n
-    if s.shape != (dim,):
-        raise DimensionError(f"state has shape {s.shape}, expected ({dim},)")
-    out = np.zeros(dim, dtype=complex)
-    for coeff, string in h.terms:
-        out += coeff * _apply_string(string, s)
-    return out
-
-
-def _as_vector(s) -> np.ndarray:
-    return s.amplitudes if hasattr(s, "amplitudes") else np.asarray(s)
+    """H @ s without materializing H; real when s is real and every term
+    has even Y parity."""
+    s = _checked(s, h.n)
+    images = (_apply_string(string, s, coeff) for coeff, string in h.terms)
+    out = next(images, None)
+    for image in images:
+        out = out + image
+    return np.zeros(s.size, np.result_type(s, 1.0)) if out is None else out
 
 
 def expectation(s, o: PauliSum) -> float:
-    """<s|O|s> for Hermitian O; the imaginary residue is asserted tiny
-    relative to the operator's size, sum |c| (at least 1), and discarded."""
-    vec = _as_vector(s)
+    """<s|O|s> for Hermitian O. On a real s only the even-Y terms are
+    applied, in real arithmetic: an odd-Y term is iA with A real
+    antisymmetric, and s.(iA)s = 0. On a complex s the imaginary residue is
+    asserted tiny relative to sum |c| (at least 1), and discarded."""
+    vec = _checked(s.amplitudes if hasattr(s, "amplitudes") else s, o.n)
+    if not np.iscomplexobj(vec):
+        even = tuple(t for t in o.terms if y_parity(t[1]) == "even")
+        if len(even) < o.num_terms:
+            o = PauliSum(o.n, even)
+        return float(np.dot(vec, apply_pauli_sum(o, vec)))
     val = np.vdot(vec, apply_pauli_sum(o, vec))
     scale = max(1.0, sum(abs(c) for c, _ in o.terms))
     if abs(val.imag) >= HERMITICITY_ATOL * scale:

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 import embedsim
 from embedsim import ConfigError, expand_to_observables
 from embedsim.cli import (
+    MAX_EVOLUTION_STEPS,
+    MAX_ROOF_ITERATIONS,
+    MAX_ROOF_RESTARTS,
     emit,
     ghz_state,
     main,
@@ -36,7 +39,7 @@ def run_cli(tmp_path, payload, *args):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "embedsim.cli", "--config", write_config(tmp_path, payload), *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
 
 
@@ -434,6 +437,31 @@ class TestOverflowExitsWithoutTraceback:
         assert proc.returncode == 2
         assert "'roof'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestLoopCountCaps:
+    @pytest.mark.parametrize("payload,field", [
+        ({**WORKED_EXAMPLE_EVOLVE, "evolution": {"method": "trotter1", "steps": 10**12}},
+         "'evolution.steps'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 10**9}}, "'roof.restarts'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 10**12}},
+         "'roof.max_iterations'"),
+    ], ids=["steps", "restarts", "max_iterations"])
+    def test_count_beyond_its_cap_exits_2(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_counts_at_their_caps_parse(self):
+        evolve = {**WORKED_EXAMPLE_EVOLVE,
+                  "evolution": {"method": "trotter1", "steps": MAX_EVOLUTION_STEPS}}
+        assert parse_config(evolve).evolution_steps == MAX_EVOLUTION_STEPS
+        roof = {**ROOF_WERNER, "roof": {"restarts": MAX_ROOF_RESTARTS,
+                                        "max_iterations": MAX_ROOF_ITERATIONS}}
+        config = parse_config(roof)
+        assert config.roof.restarts == MAX_ROOF_RESTARTS
+        assert config.roof.max_iterations == MAX_ROOF_ITERATIONS
 
 
 FUZZ_BASE = {

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from embedsim import (
     CapacityError,
     PauliSum,
+    PureState,
+    dense_matrix,
     embed_hamiltonian,
     embed_state,
     evolve,
@@ -150,3 +154,41 @@ def test_composition(rng):
         once = evolve_exact(psi.amplitudes, h, t1 + t2)
         twice = evolve_exact(evolve_exact(psi.amplitudes, h, t1), h, t2)
         np.testing.assert_allclose(once, twice, atol=1e-10)
+
+
+def test_real_trotter2_of_embedded_hamiltonian(rng):
+    # Reference: each factor as the dense cos(a) I - i sin(a) P, palindromic.
+    for _ in range(5):
+        h = embed_hamiltonian(random_pauli_sum(rng, 3, max_terms=6)).operator
+        s = embed_state(random_state(rng, 3)).amplitudes
+        t, steps = float(rng.uniform(0.1, 2.0)), 5
+        out = evolve_trotter(s, h, t, steps, order=2)
+        assert out.dtype == np.float64
+        a = t / steps / 2
+        factors = [np.cos(c * a) * np.eye(16) - 1j * np.sin(c * a) * dense_matrix(p)
+                   for c, p in h.terms]
+        ref = s.astype(complex)
+        for _ in range(steps):
+            for f in factors + factors[::-1]:
+                ref = f @ ref
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+
+def test_trotter_allocates_no_state_sized_temporaries():
+    # The 27-term chain of 14 qubits on its 2^15 real enlarged amplitudes.
+    n = 14
+    chain = [(0.4, "I" * i + "XX" + "I" * (n - i - 2)) for i in range(n - 1)]
+    chain += [(0.3, "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
+    h = embed_hamiltonian(PauliSum.from_terms(chain)).operator
+    ghz = np.zeros(1 << n, dtype=complex)
+    ghz[0] = ghz[-1] = 2**-0.5
+    s = embed_state(PureState(ghz)).amplitudes
+    evolve_trotter(s, h, 0.2, 1, 2)  # builds the per-string kernels, which are kept
+    tracemalloc.start()
+    try:
+        out = evolve_trotter(s, h, 0.2, 4, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float64
+    assert peak < 4 * s.nbytes

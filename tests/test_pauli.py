@@ -5,6 +5,8 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
+import embedsim
+
 from embedsim import (
     CapacityError,
     DimensionError,
@@ -17,9 +19,9 @@ from embedsim import (
     expectation,
     y_parity,
 )
-from embedsim.pauli import SINGLE_QUBIT
+from embedsim.pauli import KERNEL_CACHE_SIZE, SINGLE_QUBIT, _apply_string, _kernel
 
-from conftest import random_pauli_sum, random_state
+from conftest import random_pauli_sum, random_real_state, random_state
 
 pauli_labels = st.text(alphabet="IXYZ", min_size=1, max_size=6)
 
@@ -84,6 +86,49 @@ class TestDenseMatrix:
             assert np.max(np.abs(m.imag)) == 0
         else:
             assert np.max(np.abs(m.real)) == 0
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_short_string_applies_exactly(self, n, rng):
+        for symbols in itertools.product("IXYZ", repeat=n):
+            p = PauliString("".join(symbols))
+            m = dense_matrix(p)
+            for s in (random_real_state(rng, n), random_state(rng, n).amplitudes):
+                assert np.array_equal(_apply_string(p, s), m @ s)
+
+    def test_random_strings_apply_exactly(self, rng):
+        for n in range(4, 11):
+            for _ in range(3):
+                p = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
+                m = dense_matrix(p)
+                for s in (random_real_state(rng, n), random_state(rng, n).amplitudes):
+                    assert np.array_equal(_apply_string(p, s), m @ s)
+
+    def test_image_is_real_exactly_for_real_states_and_even_strings(self, rng):
+        s = random_real_state(rng, 3)
+        assert _apply_string(PauliString("XYY"), s).dtype == np.float64
+        assert _apply_string(PauliString("XYZ"), s).dtype == np.complex128
+        assert _apply_string(PauliString("XYY"), s + 0j).dtype == np.complex128
+
+    def test_one_bounded_entry_per_label(self):
+        a, b = PauliString("XYZIY"), PauliString("XYZIY")
+        assert a is not b
+        first = _kernel(a.symbols)
+        hits = _kernel.cache_info().hits
+        assert _kernel(b.symbols) is first
+        assert _kernel.cache_info().hits == hits + 1
+        for label in itertools.islice(itertools.product("IXYZ", repeat=5), 2 * KERNEL_CACHE_SIZE):
+            _kernel("".join(label))
+        assert _kernel.cache_info().maxsize == KERNEL_CACHE_SIZE
+        assert _kernel.cache_info().currsize <= KERNEL_CACHE_SIZE
+
+    def test_signs_are_read_only_int8(self):
+        signs = _kernel("XYZIY").signs
+        assert signs.dtype == np.int8 and signs.size == 2**5
+        assert not signs.flags.writeable
+        with pytest.raises(ValueError):
+            signs[(0,) * 5] = 1
 
 
 class TestYParity:
@@ -209,6 +254,29 @@ class TestExpectation:
             expected = (v.conj() @ h.dense() @ v).real
             assert expectation(psi, h) == pytest.approx(expected, abs=1e-12)
 
+
+    def test_real_states_match_dense_quadratic_form(self, rng):
+        for _ in range(50):
+            h = random_pauli_sum(rng, 4, max_terms=6)
+            v = random_real_state(rng, 4)
+            expected = (v @ h.dense() @ v).real
+            assert expectation(v, h) == pytest.approx(expected, abs=1e-14)
+
+    def test_real_states_apply_only_even_terms(self, rng, monkeypatch):
+        applied = []
+        original = embedsim.pauli.apply_pauli_sum
+        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum",
+                            lambda h, s: applied.append(h) or original(h, s))
+        v = random_real_state(rng, 3)
+        assert expectation(v, PauliSum.from_terms([(0.5, "XYZ"), (1.0, "YII")])) == 0.0
+        assert [h.terms for h in applied] == [()]
+        applied.clear()
+        mixed = PauliSum.from_terms([(0.5, "XYZ"), (1.0, "YYI"), (-0.25, "ZIX")])
+        value = expectation(v, mixed)
+        assert [h.to_records() for h in applied] == [[
+            {"coeff": 1.0, "pauli": "YYI"}, {"coeff": -0.25, "pauli": "ZIX"},
+        ]]
+        assert value == pytest.approx((v @ mixed.dense() @ v).real, abs=1e-14)
 
     def test_large_coefficients_are_hermitian(self, rng):
         # The imaginary rounding residue grows with sum |c|; a fixed bound
