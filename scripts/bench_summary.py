@@ -72,10 +72,9 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="bench_results/ of the parent checkout")
     parser.add_argument("change", help="bench_results/ of the changed checkout")
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
-    parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     parser.add_argument("--note", default="", help="free text kept in the file, e.g. the machine")
     args = parser.parse_args(argv)
-    summary = summarise(args.parent, args.change, json.loads(Path(args.benchmark).read_text()))
+    summary = summarise(args.parent, args.change, json.loads((ROOT / "BENCHMARK.json").read_text()))
     if not summary["workloads"]:
         parser.error("no workload has a run of the same seed on both sides")
     if args.note:

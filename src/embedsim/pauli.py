@@ -72,15 +72,13 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 # Per-qubit sign factors of P s = i^{#Y} * signs * flip(s); Y's is Z's, flipped.
 _SIGN_FACTORS = {"I": (1, 1), "X": (1, 1), "Z": (1, -1), "Y": (-1, 1)}
 KERNEL_CACHE_SIZE = 256  # distinct labels kept, 2^n bytes each
+KERNEL_CACHE_QUBITS = 16  # longer labels are built per use, so at most 16 MiB is kept
 
 
 class _Kernel(NamedTuple):
-    """What applying one string P needs: P s = phase * signs * flip(s), with
-    flip reversing the X/Y axes of the (2,)*n view of s (index `axes`, bit
-    mask `flip`, qubit q at bit n-1-q), `signs` a read-only int8 +/-1 array
-    of shape (2,)*n already permuted by the flip, and `phase` = i^{#Y}."""
+    """P s = phase * signs * flip(s), flip reversing the X/Y axes (`axes`) of the
+    (2,)*n view of s, `signs` read-only int8 +/-1, already flipped; phase = i^{#Y}."""
 
-    flip: int
     axes: tuple[slice, ...]
     signs: np.ndarray
     phase: complex
@@ -93,12 +91,15 @@ class _Kernel(NamedTuple):
         return np.multiply(out, weight.real if out.dtype.kind == "f" else weight, out=out)
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(symbols: str) -> _Kernel:
-    """The kernel of a label, shared by every PauliString that spells it."""
+    """The kernel of a label, shared by all its PauliStrings up to KERNEL_CACHE_QUBITS."""
+    return (_build if len(symbols) <= KERNEL_CACHE_QUBITS else _build.__wrapped__)(symbols)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _build(symbols: str) -> _Kernel:
     signs = reduce(np.multiply.outer, (np.array(_SIGN_FACTORS[c], np.int8) for c in symbols))
     return _Kernel(
-        flip=int("".join("1" if c in "XY" else "0" for c in symbols), 2),
         axes=tuple(slice(None, None, -1 if c in "XY" else 1) for c in symbols),
         signs=_freeze(signs),
         phase=(1 + 0j, 1j, -1 + 0j, -1j)[symbols.count("Y") % 4],
@@ -130,7 +131,8 @@ def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
     out = np.zeros((idx.size, idx.size), dtype=complex)
     for coeff, string in terms:
         k = _kernel(string.symbols)
-        out[idx, idx ^ k.flip] += (coeff * k.phase) * k.signs.reshape(-1)
+        cols = idx.reshape(k.signs.shape)[k.axes].reshape(-1)  # idx ^ the X/Y bit mask
+        out[idx, cols] += (coeff * k.phase) * k.signs.reshape(-1)
     return out
 
 

@@ -59,12 +59,11 @@ def test_pairs_medians_quartiles_and_wins(dirs):
     assert batch["parent"] == {"values": [2.0], "median": 2.0, "q1": 2.0, "q3": 2.0}
 
 
-def test_main_writes_the_file(dirs, tmp_path):
-    bench = tmp_path / "BENCHMARK.json"
-    bench.write_text(json.dumps(BENCHMARK))
+def test_main_writes_the_file(dirs, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
     out = tmp_path / "BENCH_0.json"
-    assert bench_summary.main([*map(str, dirs), "--out", str(out), "--benchmark", str(bench),
-                               "--note", "synthetic"]) == 0
+    assert bench_summary.main([*map(str, dirs), "--out", str(out), "--note", "synthetic"]) == 0
     written = json.loads(out.read_text())
     assert written["note"] == "synthetic"
     assert written["workloads"]["chain"]["metrics"]["op_p50_ms"]["change_won"] == 4

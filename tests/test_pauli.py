@@ -19,7 +19,9 @@ from embedsim import (
     expectation,
     y_parity,
 )
-from embedsim.pauli import KERNEL_CACHE_SIZE, SINGLE_QUBIT, _apply_string, _kernel
+from embedsim.pauli import (
+    KERNEL_CACHE_QUBITS, KERNEL_CACHE_SIZE, SINGLE_QUBIT, _apply_string, _build, _kernel,
+)
 
 from conftest import random_pauli_sum, random_real_state, random_state
 
@@ -115,13 +117,20 @@ class TestKernel:
         a, b = PauliString("XYZIY"), PauliString("XYZIY")
         assert a is not b
         first = _kernel(a.symbols)
-        hits = _kernel.cache_info().hits
+        hits = _build.cache_info().hits
         assert _kernel(b.symbols) is first
-        assert _kernel.cache_info().hits == hits + 1
+        assert _build.cache_info().hits == hits + 1
         for label in itertools.islice(itertools.product("IXYZ", repeat=5), 2 * KERNEL_CACHE_SIZE):
             _kernel("".join(label))
-        assert _kernel.cache_info().maxsize == KERNEL_CACHE_SIZE
-        assert _kernel.cache_info().currsize <= KERNEL_CACHE_SIZE
+        assert _build.cache_info().maxsize == KERNEL_CACHE_SIZE
+        assert _build.cache_info().currsize <= KERNEL_CACHE_SIZE
+
+    def test_long_labels_are_not_kept(self):
+        label = "XY" + "Z" * (KERNEL_CACHE_QUBITS - 1)
+        kept = _build.cache_info().currsize
+        assert _kernel(label) is not _kernel(label)
+        assert _build.cache_info().currsize == kept
+        assert KERNEL_CACHE_SIZE << KERNEL_CACHE_QUBITS <= 16 << 20  # bytes of signs kept
 
     def test_signs_are_read_only_int8(self):
         signs = _kernel("XYZIY").signs
