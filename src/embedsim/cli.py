@@ -133,6 +133,13 @@ def _field(field: str):
         _fail(field, str(exc))
 
 
+def _integer(value, field: str, lo: float, hi: float) -> int:
+    """`value` if a JSON integer in [lo, hi], else fail naming `field` (int() takes 0.5 or true)."""
+    if type(value) is not int or not lo <= value <= hi:
+        _fail(field, f"must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
 def _object(raw, field: str, keys: tuple[str, ...]) -> dict:
     """`raw` as a config object; an unknown key fails with its field path."""
     if not isinstance(raw, dict):
@@ -172,6 +179,11 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
     if isinstance(raw, dict):
         _object(raw, "monotone", ("name", "n_qubits", "factors", "contractions"))
         with _field("monotone"):
+            _integer(raw.get("n_qubits"), "monotone.n_qubits", 1, np.inf)
+            for slot in (s for factor in raw["factors"] for s in factor if isinstance(s, dict)):
+                _integer(slot.get("idx"), "monotone.factors.idx", -np.inf, np.inf)
+            for label in (label for pair in raw["contractions"] for label in pair):
+                _integer(label, "monotone.contractions", -np.inf, np.inf)
             return MonotoneSpec.from_json(raw)
     _fail("monotone", "expected a preset name or a spec object")
 
@@ -196,8 +208,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _fail("workflow", f"expected one of {WORKFLOWS}, got {workflow!r}")
 
     n_qubits = raw.get("n_qubits")
-    if n_qubits is not None and (not isinstance(n_qubits, int) or n_qubits < 1):
-        _fail("n_qubits", "must be a positive integer")
+    if n_qubits is not None:
+        _integer(n_qubits, "n_qubits", 1, np.inf)
 
     hamiltonian = None
     if raw.get("hamiltonian") is not None:
@@ -230,17 +242,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     evolution = _object(raw.get("evolution", {}), "evolution", ("method", "steps"))
     method = evolution.get("method", "exact")
-    steps = evolution.get("steps", 1)
     if method not in METHODS:
         _fail("evolution.method", f"expected one of {METHODS}")
-    if not isinstance(steps, int) or not 1 <= steps <= MAX_EVOLUTION_STEPS:
-        _fail("evolution.steps", f"must be an integer in [1, {MAX_EVOLUTION_STEPS}]")
+    steps = _integer(evolution.get("steps", 1), "evolution.steps", 1, MAX_EVOLUTION_STEPS)
 
     shots = None
     if raw.get("shots") is not None:
         plan = _object(raw["shots"], "shots", ("shots", "seed"))
-        with _field("shots"):
-            shots = ShotPlan(int(plan["shots"]), int(plan.get("seed", 0)))
+        shots = ShotPlan(_integer(plan.get("shots"), "shots.shots", 1, 2**63 - 1),
+                         _integer(plan.get("seed", 0), "shots.seed", 0, 2**64 - 1))
 
     roof = None
     if raw.get("roof") is not None:
@@ -252,18 +262,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("roof.use_shots", "must be true or false")
         if use_shots and shots is None:
             _fail("roof.use_shots", "needs a top-level 'shots' block")
+        bounds = {"extra_terms": (0, np.inf), "max_iterations": (1, MAX_ROOF_ITERATIONS),
+                  "restarts": (1, MAX_ROOF_RESTARTS), "seed": (0, 2**64 - 1)}
         with _field("roof"):
             roof = RoofConfig(
-                extra_terms=int(opts.get("extra_terms", 2)),
-                max_iterations=int(opts.get("max_iterations", 500)),
-                restarts=int(opts.get("restarts", 8)),
+                **{k: _integer(opts[k], f"roof.{k}", *bounds[k]) for k in bounds if k in opts},
                 tolerance=float(opts.get("tolerance", 1e-6)),
-                seed=int(opts.get("seed", 0)),
                 shots=shots if use_shots else None,
             )
-        for key, cap in (("restarts", MAX_ROOF_RESTARTS), ("max_iterations", MAX_ROOF_ITERATIONS)):
-            if getattr(roof, key) > cap:
-                _fail(f"roof.{key}", f"must be at most {cap}")
 
     mixed = None
     if raw.get("mixed_state") is not None:

@@ -9,12 +9,12 @@ The result is always an upper bound: every decomposition is feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EnlargedState
-from .measurement import ShotPlan, sample_monotone
+from .measurement import ShotPlan, combine_estimates, sample_estimates
 from .monotones import EmbeddedEvaluator, MonotoneSpec
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, dense_matrix
 
@@ -63,8 +63,8 @@ class RoofConfig:
             raise ValueError("extra_terms must be >= 0")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -79,20 +79,16 @@ class RoofResult:
     """Best objective value after each iteration of the winning restart."""
 
 
-def _spectral(rho: MixedState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs above the rank threshold, largest eigenvalue first."""
+def _spectral(rho: MixedState) -> np.ndarray:
+    """Steering basis sqrt(lam_i) e_i (dim x rank) over eigenvalues > RANK_EPS, largest first."""
     evals, vecs = np.linalg.eigh(rho.matrix)
     keep = evals > RANK_EPS
-    evals, vecs = evals[keep][::-1], vecs[:, keep][:, ::-1]
-    return evals, vecs
+    return vecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
 
 
-def _members_from_isometry(
-    evals: np.ndarray, vecs: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _members_from_isometry(scaled: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized ensemble steering: phi_j = sum_i W_ji sqrt(lam_i) e_i.
     Returns (probabilities, row-stacked normalized states)."""
-    scaled = vecs * np.sqrt(evals)          # (dim, r)
     phi = scaled @ w.T                       # (dim, k)
     probs = np.sum(np.abs(phi) ** 2, axis=0)
     states = np.zeros_like(phi.T)
@@ -103,13 +99,13 @@ def _members_from_isometry(
 
 def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition:
     w = np.asarray(w, dtype=complex)
-    evals, vecs = _spectral(rho)
-    r = evals.size
+    scaled = _spectral(rho)
+    r = scaled.shape[1]
     if w.ndim != 2 or w.shape[1] != r:
         raise ValueError(f"isometry must be k x {r} for this state, got {w.shape}")
     if np.max(np.abs(w.conj().T @ w - np.eye(r))) > 1e-10:
         raise ValueError("columns are not orthonormal within 1e-10")
-    probs, states = _members_from_isometry(evals, vecs, w)
+    probs, states = _members_from_isometry(scaled, w)
     members = tuple(
         (float(p), PureState.from_amplitudes(states[j]))
         for j, p in enumerate(probs)
@@ -123,7 +119,7 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
 
 def eigendecomposition_start(rho: MixedState) -> Decomposition:
     """The spectral ensemble: the identity isometry."""
-    return decomposition_from_isometry(rho, np.eye(_spectral(rho)[0].size))
+    return decomposition_from_isometry(rho, np.eye(_spectral(rho).shape[1]))
 
 
 def _ensemble_value(
@@ -134,16 +130,17 @@ def _ensemble_value(
 ) -> float:
     """sum_j p_j E(phi_j) over the members (rows of `states`) above
     PROB_FLOOR, each evaluated via the embedded path; with shots, member j
-    samples with seed shots.seed + j."""
+    samples its exact (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
     nz = probs > PROB_FLOOR
     tilde = np.hstack([states.real, states.imag])
     if shots is None:
         return float(probs[nz] @ evaluator.values_batch(tilde[nz]))
+    ex = evaluator.antilinear_batch(tilde[nz])
+    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(ex.shape[0], -1)
     total = 0.0
-    for j in np.flatnonzero(nz):
+    for j, exact in zip(np.flatnonzero(nz), pairs):
         plan = ShotPlan(shots.shots, (shots.seed + int(j)) % 2**64)
-        e, _ = sample_monotone(EnlargedState(tilde[j]), evaluator.spec, plan)
-        total += probs[j] * e
+        total += probs[j] * combine_estimates(evaluator.spec, sample_estimates(exact, plan))
     return float(total)
 
 
@@ -156,20 +153,14 @@ def roof_objective(
     return _ensemble_value(EmbeddedEvaluator(spec), probs, states, shots)
 
 
-def _hermitian_from_params(x: np.ndarray, k: int) -> np.ndarray:
+def _isometry_from_params(x: np.ndarray, upper: tuple, r: int) -> np.ndarray:
+    """exp(-iG)[:, :r], G Hermitian with diagonal x[:k] and (re, im) pairs x[k:] at `upper`."""
+    k = math.isqrt(x.size)
     g = np.zeros((k, k), dtype=complex)
-    g[np.diag_indices(k)] = x[:k]
-    if k > 1:
-        off = x[k:].reshape(-1, 2)
-        vals = off[:, 0] + 1j * off[:, 1]
-        iu = np.triu_indices(k, 1)
-        g[iu] = vals
-        g.T[iu] = vals.conj()
-    return g
-
-
-def _isometry_from_params(x: np.ndarray, k: int, r: int) -> np.ndarray:
-    g = _hermitian_from_params(x, k)
+    np.fill_diagonal(g, x[:k])
+    vals = x[k::2] + 1j * x[k + 1::2]
+    g[upper] = vals
+    g.T[upper] = vals.conj()
     evals, vecs = np.linalg.eigh(g)
     u = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
     return u[:, :r]
@@ -241,15 +232,16 @@ def convex_roof_estimate(
     The decomposition size is k = rank + extra_terms, capped at 4^N (no
     optimal decomposition needs more members than rank^2 <= 4^N).
     """
-    evals, vecs = _spectral(rho)
-    r = evals.size
+    scaled = _spectral(rho)
+    r = scaled.shape[1]
     k = min(r + cfg.extra_terms, 4**rho.n)
     n_params = k + k * (k - 1)
+    upper = np.triu_indices(k, 1)
 
     evaluator = EmbeddedEvaluator(spec)
 
     def objective(x: np.ndarray) -> float:
-        probs, states = _members_from_isometry(evals, vecs, _isometry_from_params(x, k, r))
+        probs, states = _members_from_isometry(scaled, _isometry_from_params(x, upper, r))
         return _ensemble_value(evaluator, probs, states, cfg.shots)
 
     rng = np.random.default_rng(cfg.seed)
@@ -265,7 +257,7 @@ def convex_roof_estimate(
             break
 
     x, fx, history, converged, iterations = best
-    decomposition = decomposition_from_isometry(rho, _isometry_from_params(x, k, r))
+    decomposition = decomposition_from_isometry(rho, _isometry_from_params(x, upper, r))
     return RoofResult(
         value=fx,
         decomposition=decomposition,

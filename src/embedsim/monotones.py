@@ -189,21 +189,19 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
     """Contract the spec's expansion on one state along the requested path."""
     if path not in ("direct", "embedded"):
         raise ValueError(f"unknown path {path!r}")
-    if path == "embedded":
-        state = embed_state(state) if isinstance(state, PureState) else state
-        antilinear = functools.partial(antilinear_expectation_embedded, state)
-    elif isinstance(state, EnlargedState):
+    if path == "direct" and isinstance(state, EnlargedState):
         raise ValueError("direct path needs a simulated-space PureState")
-    else:
-        antilinear = functools.partial(antilinear_expectation_direct, state)
     if state.n != spec.n_qubits:
         raise ValueError(f"state has {state.n} qubits, spec expects {spec.n_qubits}")
 
     e = _expansion(spec)
-    ex = np.array(
-        [antilinear(PauliSum.from_terms([(1.0, label)])) for label in e.labels],
-        dtype=complex,
-    )
+    if path == "embedded":
+        tilde = embed_state(state) if isinstance(state, PureState) else state
+        pairs = np.array([expectation(tilde, o) for o in expand_to_observables(spec)])
+        ex = pairs[0::2] - 1j * pairs[1::2]
+    else:
+        ex = np.array([antilinear_expectation_direct(state, PauliSum.from_terms([(1.0, op)]))
+                       for op in e.labels])
     return MonotoneValue(
         value=float(contract(spec, ex)),
         signs=tuple(e.signs.tolist()),
@@ -225,10 +223,13 @@ class EmbeddedEvaluator:
             [oz.dense() - 1j * ox.dense() for oz, ox in zip(obs[0::2], obs[1::2])]
         )
 
+    def antilinear_batch(self, tilde_vecs: np.ndarray) -> np.ndarray:
+        """<Z(x)O> - i <X(x)O>, shape (rows, labels), on the rows of tilde_vecs."""
+        return ((tilde_vecs @ self._combined) * tilde_vecs).sum(axis=-1).T
+
     def values_batch(self, tilde_vecs: np.ndarray) -> np.ndarray:
         """Evaluate many enlarged vectors at once (rows of tilde_vecs)."""
-        ex = ((tilde_vecs @ self._combined) * tilde_vecs).sum(axis=-1)
-        return contract(self.spec, ex.T)
+        return contract(self.spec, self.antilinear_batch(tilde_vecs))
 
 
 # Preset specs ---------------------------------------------------------------

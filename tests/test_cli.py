@@ -419,7 +419,7 @@ class TestOverflowExitsWithoutTraceback:
     def test_shot_count_beyond_int64(self, tmp_path):
         proc = run_cli(tmp_path, {**BELL_MONOTONE, "shots": {"shots": 1e30}})
         assert proc.returncode == 2
-        assert "'shots'" in proc.stderr
+        assert "'shots.shots'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_shots_override_beyond_int64(self, tmp_path):
@@ -435,7 +435,7 @@ class TestOverflowExitsWithoutTraceback:
         )
         proc = run_cli(tmp_path, text)
         assert proc.returncode == 2
-        assert "'roof'" in proc.stderr
+        assert "'roof.restarts'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -462,6 +462,54 @@ class TestLoopCountCaps:
         config = parse_config(roof)
         assert config.roof.restarts == MAX_ROOF_RESTARTS
         assert config.roof.max_iterations == MAX_ROOF_ITERATIONS
+
+
+SPEC_OBJECT = {"name": "c", "n_qubits": 2, "factors": [["Y", {"idx": 0}], ["Y", {"idx": 1}]],
+               "contractions": [[0, 1]]}
+
+
+class TestIntegerFields:
+    """Each integer field takes a JSON integer only: int() would have read
+    2.7 as 2, true as 1 and "1" as 1, and run."""
+
+    @pytest.mark.parametrize("payload,field", [
+        ({**BELL_MONOTONE, "n_qubits": True}, "'n_qubits'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "evolution": {"steps": True}}, "'evolution.steps'"),
+        ({**BELL_MONOTONE, "shots": {"shots": 2.7}}, "'shots.shots'"),
+        ({**BELL_MONOTONE, "shots": {"shots": 10, "seed": True}}, "'shots.seed'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1.9}}, "'roof.restarts'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 5.5}}, "'roof.max_iterations'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "extra_terms": True}}, "'roof.extra_terms'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "seed": 3.7}}, "'roof.seed'"),
+        ({**ROOF_WERNER, "roof": {"restarts": "1"}}, "'roof.restarts'"),
+        ({**BELL_MONOTONE, "monotone": {**SPEC_OBJECT, "n_qubits": 2.0}}, "'monotone.n_qubits'"),
+        ({**BELL_MONOTONE, "monotone": {**SPEC_OBJECT, "factors": [["Y", {"idx": 0.5}],
+                                                                   ["Y", {"idx": 1}]]}},
+         "'monotone.factors.idx'"),
+        ({**BELL_MONOTONE, "monotone": {**SPEC_OBJECT, "contractions": [[0, True]]}},
+         "'monotone.contractions'"),
+    ], ids=["n_qubits", "steps", "shots", "shots-seed", "restarts", "max_iterations",
+            "extra_terms", "roof-seed", "string", "spec-n_qubits", "spec-idx",
+            "spec-contraction"])
+    def test_non_integer_exits_2_naming_the_field(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_spec_object_with_integer_fields_parses(self):
+        spec = parse_config({**BELL_MONOTONE, "monotone": SPEC_OBJECT}).monotone
+        assert spec.factors == (("Y", 0), ("Y", 1)) and spec.contractions == ((0, 1),)
+
+
+def test_nan_roof_tolerance_exits_2(tmp_path):
+    # Python's json reads NaN; `tolerance <= 0` is False for it.
+    payload = {**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 40,
+                                       "tolerance": float("nan")}}
+    proc = run_cli(tmp_path, json.dumps(payload))
+    assert proc.returncode == 2
+    assert "'roof'" in proc.stderr and "tolerance" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 FUZZ_BASE = {

@@ -13,7 +13,9 @@ from embedsim import (
     decomposition_from_isometry,
     efficiency_check,
     eigendecomposition_start,
+    embed_state,
     roof_objective,
+    sample_monotone,
     werner_state,
     wootters_oracle,
 )
@@ -134,6 +136,19 @@ class TestRoofObjective:
         assert (a.value, a.history, a.iterations) == (b.value, b.history, b.iterations)
         np.testing.assert_array_equal(a.decomposition.density_matrix(), b.decomposition.density_matrix())
 
+    @pytest.mark.parametrize("seed", [17, 2**64 - 2])
+    def test_member_j_samples_on_plan_seed_plus_j(self, seed, rng):
+        # The shot roof's stream contract: member j of the decomposition is
+        # sampled exactly as sample_monotone samples it on seed + j (mod 2^64).
+        members = tuple((p, random_state(rng, 2)) for p in (0.5, 0.3, 0.2))
+        expected = sum(
+            p * sample_monotone(embed_state(psi), concurrence_spec(),
+                                ShotPlan(400, (seed + j) % 2**64))[0]
+            for j, (p, psi) in enumerate(members)
+        )
+        d = Decomposition(members)
+        assert roof_objective(d, concurrence_spec(), shots=ShotPlan(400, seed)) == expected
+
     def test_shot_injected_objective_is_deterministic(self, rng):
         d = Decomposition(((1.0, BELL),))
         plan = ShotPlan(2000, 3)
@@ -238,3 +253,9 @@ class TestEfficiencyCheck:
 def test_werner_state_validation():
     with pytest.raises(ValueError):
         werner_state(1.5)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), float("inf")])
+def test_roof_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        RoofConfig(tolerance=tolerance)

@@ -349,6 +349,28 @@ class TestContraction:
             embedded = evaluate_monotone(psi, spec, "embedded").value
             assert abs(value - embedded) < 1e-12
 
+    def test_embedded_path_rebuilds_no_observable(self, monkeypatch, rng):
+        # Once expand_to_observables(spec) is memoised, the embedded path
+        # reads its pairs and builds no PauliSum per label.
+        psi, spec = random_state(rng, 3), three_tangle_spec()
+        evaluate_monotone(psi, spec, "embedded")
+        calls = []
+        from_terms, embed = PauliSum.from_terms.__func__, embedsim.embedding.embed_observable
+
+        def counting_from_terms(cls, *args, **kwargs):
+            calls.append("from_terms")
+            return from_terms(cls, *args, **kwargs)
+
+        def counting_embed(o):
+            calls.append("embed_observable")
+            return embed(o)
+
+        monkeypatch.setattr(PauliSum, "from_terms", classmethod(counting_from_terms))
+        monkeypatch.setattr(embedsim.embedding, "embed_observable", counting_embed)
+        monkeypatch.setattr(embedsim.monotones, "embed_observable", counting_embed)
+        evaluate_monotone(psi, spec, "embedded")
+        assert calls == []
+
     @pytest.mark.parametrize("path,calls", [("direct", 3), ("embedded", 6)])
     def test_one_application_per_distinct_label(self, path, calls, monkeypatch, rng):
         # The 3-tangle has 3 distinct labels, each used twice per term.
