@@ -94,7 +94,6 @@ class ExperimentConfig:
     shots: ShotPlan | None = None
     roof: RoofConfig | None = None
     mixed_state: MixedState | None = None
-    n_qubits: int | None = None
 
 
 @dataclass
@@ -140,6 +139,14 @@ def _integer(value, field: str, lo: float, hi: float) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """`value` as a float if a finite JSON number, else fail naming `field`
+    (float() takes true or "1e-3"; it is called only once the range holds)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        _fail(field, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _object(raw, field: str, keys: tuple[str, ...]) -> dict:
     """`raw` as a config object; an unknown key fails with its field path."""
     if not isinstance(raw, dict):
@@ -150,12 +157,11 @@ def _object(raw, field: str, keys: tuple[str, ...]) -> dict:
     return raw
 
 
-def _parse_amplitude(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(entry[0], entry[1])
-    raise ValueError(f"amplitude {entry!r} is not a number or [re, im] pair")
+def _amplitude(entry, field: str) -> complex:
+    """A plain number or an [re, im] pair of numbers."""
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_number(entry[0], field), _number(entry[1], field))
+    return complex(_number(entry, field))
 
 
 def _parse_state(raw, n_qubits: int | None) -> PureState:
@@ -166,7 +172,8 @@ def _parse_state(raw, n_qubits: int | None) -> PureState:
             return STATE_PRESETS[raw]() if n_qubits is None else STATE_PRESETS[raw](n_qubits)
     if isinstance(raw, list):
         with _field("initial_state"):
-            return PureState.from_amplitudes([_parse_amplitude(a) for a in raw], atol=1e-8)
+            amplitudes = [_amplitude(a, f"initial_state[{i}]") for i, a in enumerate(raw)]
+            return PureState.from_amplitudes(amplitudes, atol=1e-8)
     _fail("initial_state", "expected a preset name or an amplitude list")
 
 
@@ -191,10 +198,11 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
 def _parse_mixed_state(raw) -> MixedState:
     _object(raw, "mixed_state", ("preset", "p", "matrix"))
     with _field("mixed_state"):
-        if raw.get("preset") == "werner":
-            return werner_state(float(raw["p"]))
-        if "matrix" in raw:
-            rows = [[_parse_amplitude(e) for e in row] for row in raw["matrix"]]
+        if raw.keys() == {"preset", "p"} and raw["preset"] == "werner":
+            return werner_state(_number(raw["p"], "mixed_state.p"))
+        if raw.keys() == {"matrix"}:
+            rows = [[_amplitude(e, f"mixed_state.matrix[{i}][{j}]") for j, e in enumerate(row)]
+                    for i, row in enumerate(raw["matrix"])]
             return MixedState(np.array(rows, dtype=complex))
     _fail("mixed_state", "expected {'preset': 'werner', 'p': ...} or {'matrix': ...}")
 
@@ -217,12 +225,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("hamiltonian", "expected a list of {'coeff': ..., 'pauli': ...} records")
         for i, record in enumerate(raw["hamiltonian"]):
             _object(record, f"hamiltonian[{i}]", ("coeff", "pauli"))
+            _number(record.get("coeff"), f"hamiltonian[{i}].coeff")
         with _field("hamiltonian"):
             hamiltonian = PauliSum.from_records(raw["hamiltonian"])
 
     state = None
     if raw.get("initial_state") is not None:
         state = _parse_state(raw["initial_state"], n_qubits)
+        if n_qubits is not None and state.n != n_qubits:
+            _fail("initial_state", f"has {state.n} qubits, n_qubits is {n_qubits}")
         if hamiltonian is not None and hamiltonian.n != state.n:
             _fail("hamiltonian", f"acts on {hamiltonian.n} qubits, state has {state.n}")
         n_qubits = state.n
@@ -234,11 +245,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _fail("monotone", f"spec is for {monotone.n_qubits} qubits, expected {n_qubits}")
 
     times = raw.get("times", [0.0])
-    with _field("times"):
-        if not isinstance(times, list) or not all(
-            isinstance(t, (int, float)) and np.isfinite(t) for t in times
-        ):
-            _fail("times", "must be a list of finite numbers")
+    if not isinstance(times, list):
+        _fail("times", "must be a list of finite numbers")
+    times = tuple(_number(t, f"times[{i}]") for i, t in enumerate(times))
 
     evolution = _object(raw.get("evolution", {}), "evolution", ("method", "steps"))
     method = evolution.get("method", "exact")
@@ -254,20 +263,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     roof = None
     if raw.get("roof") is not None:
-        opts = _object(raw["roof"], "roof", (
-            "extra_terms", "max_iterations", "restarts", "tolerance", "seed", "use_shots",
-        ))
+        readers = {"extra_terms": (_integer, 0, np.inf),
+                   "max_iterations": (_integer, 1, MAX_ROOF_ITERATIONS),
+                   "restarts": (_integer, 1, MAX_ROOF_RESTARTS), "tolerance": (_number,),
+                   "seed": (_integer, 0, 2**64 - 1)}
+        opts = _object(raw["roof"], "roof", (*readers, "use_shots"))
         use_shots = opts.get("use_shots", False)
         if not isinstance(use_shots, bool):
             _fail("roof.use_shots", "must be true or false")
         if use_shots and shots is None:
-            _fail("roof.use_shots", "needs a top-level 'shots' block")
-        bounds = {"extra_terms": (0, np.inf), "max_iterations": (1, MAX_ROOF_ITERATIONS),
-                  "restarts": (1, MAX_ROOF_RESTARTS), "seed": (0, 2**64 - 1)}
+            _fail("roof.use_shots", "needs a top-level 'shots' block or --shots")
         with _field("roof"):
             roof = RoofConfig(
-                **{k: _integer(opts[k], f"roof.{k}", *bounds[k]) for k in bounds if k in opts},
-                tolerance=float(opts.get("tolerance", 1e-6)),
+                **{k: read(opts[k], f"roof.{k}", *bounds)
+                   for k, (read, *bounds) in readers.items() if k in opts},
                 shots=shots if use_shots else None,
             )
 
@@ -281,12 +290,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         hamiltonian=hamiltonian,
         evolution_method=method,
         evolution_steps=steps,
-        times=tuple(float(t) for t in times),
+        times=times,
         monotone=monotone,
         shots=shots,
         roof=roof,
         mixed_state=mixed,
-        n_qubits=n_qubits,
     )
 
 
@@ -313,6 +321,8 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             if config.initial_state is None:
                 _fail("mixed_state", "roof workflow needs a mixed_state or initial_state")
             rho = MixedState.from_pure(config.initial_state)
+        if rho.n != config.monotone.n_qubits:
+            _fail("mixed_state", f"has {rho.n} qubits, monotone has {config.monotone.n_qubits}")
         start = time.perf_counter()
         result = convex_roof_estimate(rho, config.monotone, config.roof or RoofConfig())
         return [
@@ -381,14 +391,9 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     return records
 
 
-CSV_COLUMNS = (
-    "t",
-    "value_direct",
-    "value_embedded",
-    "value_sampled",
-    "n_observables",
-    "n_tomography",
-    "duration_ms",
+# The record's scalar fields, in declaration order; the lists are JSON-only.
+CSV_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ResultRecord) if not f.type.startswith("list")
 )
 
 
@@ -444,23 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, seed, shots) -> ExperimentConfig:
-    plan = config.shots
-    try:
-        if shots is not None:
-            plan = ShotPlan(shots, plan.seed if plan else 0)
-        if seed is not None and plan is not None:
-            plan = ShotPlan(plan.shots, seed)
-        roof = config.roof
-        if seed is not None and roof is not None:
-            roof = dataclasses.replace(roof, seed=seed)
-        if roof is not None and roof.shots is not None:
-            roof = dataclasses.replace(roof, shots=plan)
-    except ValueError as exc:
-        raise ConfigError(f"--seed/--shots override: {exc}") from exc
-    return dataclasses.replace(config, shots=plan, roof=roof)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -469,8 +457,16 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        config = _apply_overrides(parse_config(raw), args.seed, args.shots)
-        records = run(config)
+        if isinstance(raw, dict):
+            # --shots and --seed go into the fields they set, so the one parse
+            # checks them; a block that is not an object is left to it.
+            if args.shots is not None and raw.get("shots") is None:
+                raw["shots"] = {}
+            for block, key, value in (("shots", "shots", args.shots),
+                                      ("shots", "seed", args.seed), ("roof", "seed", args.seed)):
+                if value is not None and isinstance(raw.get(block), dict):
+                    raw[block][key] = value
+        records = run(parse_config(raw))
         emit(records, fmt=args.format, destination=args.output)
     except (ConfigError, CapacityError) as exc:
         print(f"embedsim: config error: {exc}", file=sys.stderr)

@@ -118,10 +118,11 @@ class MonotoneValue:
 
 
 class _Expansion(NamedTuple):
-    """A spec compiled for contraction: its distinct Pauli labels, one metric
-    sign per term, and the (term x factor) label index of every factor."""
+    """A spec compiled for contraction: a one-term sum per distinct Pauli
+    label, one metric sign per term, and the (term x factor) label index of
+    every factor."""
 
-    labels: tuple[str, ...]
+    sums: tuple[PauliSum, ...]
     signs: np.ndarray
     index: np.ndarray
 
@@ -145,7 +146,8 @@ def _expansion(spec: MonotoneSpec) -> _Expansion:
         ))
     position = {op: i for i, op in enumerate(dict.fromkeys(itertools.chain(*terms)))}
     index = np.array([[position[op] for op in ops] for ops in terms], dtype=np.intp)
-    return _Expansion(tuple(position), _freeze(np.array(signs)), _freeze(index))
+    sums = tuple(PauliSum.from_terms([(1.0, label)]) for label in position)
+    return _Expansion(sums, _freeze(np.array(signs)), _freeze(index))
 
 
 def _signed_product(signs: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -166,10 +168,7 @@ def expand_to_observables(spec: MonotoneSpec) -> tuple[PauliSum, ...]:
     """Enlarged-space Hermitian observables sufficient to evaluate the
     monotone: the pair (Z(x)O, X(x)O) per distinct label O, at most 2 * 3^k
     of them. Memoised per spec."""
-    return tuple(itertools.chain.from_iterable(
-        embed_observable(PauliSum.from_terms([(1.0, label)]))
-        for label in _expansion(spec).labels
-    ))
+    return tuple(itertools.chain.from_iterable(map(embed_observable, _expansion(spec).sums)))
 
 
 def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:
@@ -200,8 +199,7 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
         pairs = np.array([expectation(tilde, o) for o in expand_to_observables(spec)])
         ex = pairs[0::2] - 1j * pairs[1::2]
     else:
-        ex = np.array([antilinear_expectation_direct(state, PauliSum.from_terms([(1.0, op)]))
-                       for op in e.labels])
+        ex = np.array([antilinear_expectation_direct(state, o) for o in e.sums])
     return MonotoneValue(
         value=float(contract(spec, ex)),
         signs=tuple(e.signs.tolist()),

@@ -1,5 +1,7 @@
 import copy
+import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -220,7 +222,8 @@ class TestEmit:
     def test_empty_csv_header_only(self, capsys):
         emit([], fmt="csv")
         out = capsys.readouterr().out
-        assert out == "t,value_direct,value_embedded,value_sampled,n_observables,n_tomography,duration_ms\n"
+        assert out == ("t,value_direct,value_embedded,value_sampled,n_observables,n_tomography,"
+                       "duration_ms,roof_value,roof_k,roof_iterations,roof_converged\n")
 
     def test_single_record_csv(self, capsys):
         records = run(parse_config(BELL_MONOTONE))
@@ -336,6 +339,9 @@ ROOF_WERNER = {
 }
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+
+
 class TestStrictConfig:
     @pytest.mark.parametrize("payload,field", [
         ({**BELL_MONOTONE, "time": [0.5]}, "'time'"),
@@ -351,12 +357,19 @@ class TestStrictConfig:
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json")),
-        ids=lambda p: p.name,
-    )
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_configs_parse(self, path):
         parse_config(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_yields_its_result_in_both_formats(self, path, capsys):
+        key = "roof_value" if json.loads(path.read_text())["workflow"] == "roof" else "value_direct"
+        assert main(["--config", str(path), "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert main(["--config", str(path), "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert all(row[key] for row in rows)
+        assert [float(row[key]) for row in rows] == [r[key] for r in records]
 
     def test_benchmark_evolve_config_parses(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -508,8 +521,91 @@ def test_nan_roof_tolerance_exits_2(tmp_path):
                                        "tolerance": float("nan")}}
     proc = run_cli(tmp_path, json.dumps(payload))
     assert proc.returncode == 2
-    assert "'roof'" in proc.stderr and "tolerance" in proc.stderr
+    assert "'roof.tolerance'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def with_matrix_entry(entry):
+    """ROOF_WERNER on |00><00|, with `entry` at [0][0]."""
+    matrix = np.zeros((4, 4)).tolist()
+    matrix[0][0] = entry
+    return {**ROOF_WERNER, "mixed_state": {"matrix": matrix}}
+
+
+class TestRealFields:
+    """Each real field takes a finite JSON number only: float() would have
+    read true as 1.0 and "0.5" as 0.5, and run."""
+
+    @pytest.mark.parametrize("payload,field", [
+        ({**BELL_MONOTONE, "times": [True]}, "'times[0]'"),
+        ({**BELL_MONOTONE, "times": ["0.5"]}, "'times[0]'"),
+        ({**BELL_MONOTONE, "initial_state": [True, False, False, False]}, "'initial_state[0]'"),
+        ({**BELL_MONOTONE, "initial_state": ["1", 0, 0, 0]}, "'initial_state[0]'"),
+        (with_matrix_entry(True), "'mixed_state.matrix[0][0]'"),
+        (with_matrix_entry("1"), "'mixed_state.matrix[0][0]'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": True, "pauli": "XY"}]},
+         "'hamiltonian[0].coeff'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": "2", "pauli": "XY"}]},
+         "'hamiltonian[0].coeff'"),
+        ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": True}}, "'mixed_state.p'"),
+        ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": "0.5"}}, "'mixed_state.p'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "tolerance": True}}, "'roof.tolerance'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "tolerance": "1e-3"}}, "'roof.tolerance'"),
+    ], ids=["times-true", "times-string", "amplitude-true", "amplitude-string",
+            "matrix-entry-true", "matrix-entry-string", "coeff-true", "coeff-string",
+            "p-true", "p-string", "tolerance-true", "tolerance-string"])
+    def test_non_number_exits_2_naming_the_field(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+IDENTITY_4 = (np.eye(4) / 4).tolist()
+
+
+class TestQubitCountsAndStateForms:
+    @pytest.mark.parametrize("payload,field", [
+        ({**BELL_MONOTONE, "n_qubits": 3}, "'initial_state'"),
+        ({**BELL_MONOTONE, "n_qubits": 3, "initial_state": [1, 0, 0, 0]}, "'initial_state'"),
+        ({**ROOF_WERNER, "mixed_state": {"preset": "foo", "matrix": IDENTITY_4}}, "'mixed_state'"),
+        ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": 0.5, "matrix": IDENTITY_4}},
+         "'mixed_state'"),
+        ({**ROOF_WERNER, "mixed_state": {"p": 0.3, "matrix": IDENTITY_4}}, "'mixed_state'"),
+        ({"workflow": "roof", "mixed_state": {"matrix": (np.eye(8) / 8).tolist()},
+          "monotone": "concurrence"}, "'mixed_state'"),
+        ({"workflow": "roof", "n_qubits": 3, "mixed_state": {"preset": "werner", "p": 0.5},
+          "monotone": "three_tangle"}, "'mixed_state'"),
+    ], ids=["preset-ignores-n_qubits", "amplitudes-against-n_qubits", "preset-and-matrix",
+            "werner-and-matrix", "p-and-matrix", "roof-3-qubit-matrix", "roof-werner-three_tangle"])
+    def test_exits_2_naming_the_field(self, tmp_path, payload, field):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestOverridesAreConfigFields:
+    @pytest.mark.parametrize("payload,args,field", [
+        ({**BELL_MONOTONE, "shots": {"shots": 100, "seed": 3}}, ["--shots", "0"], "'shots.shots'"),
+        (ROOF_WERNER, ["--seed", "-1"], "'roof.seed'"),
+    ], ids=["shots", "roof-seed"])
+    def test_bad_override_exits_2_naming_the_field(self, tmp_path, payload, args, field):
+        proc = run_cli(tmp_path, payload, *args)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_shots_override_supplies_the_roof_shot_plan(self, tmp_path, capsys):
+        roof = {"restarts": 1, "max_iterations": 2, "extra_terms": 0, "use_shots": True}
+        outputs = []
+        for payload, args in [({**ROOF_WERNER, "roof": roof}, ["--shots", "50"]),
+                              ({**ROOF_WERNER, "roof": roof, "shots": {"shots": 50}}, [])]:
+            assert main(["--config", write_config(tmp_path, payload), *args]) == 0
+            (record,) = json.loads(capsys.readouterr().out)
+            record.pop("duration_ms")
+            outputs.append(record)
+        assert outputs[0] == outputs[1]
 
 
 FUZZ_BASE = {

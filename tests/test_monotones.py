@@ -371,6 +371,17 @@ class TestContraction:
         evaluate_monotone(psi, spec, "embedded")
         assert calls == []
 
+    def test_direct_path_rebuilds_no_label_sum(self, monkeypatch, rng):
+        # The per-label sums are built once per spec, beside its expansion.
+        psi, spec = random_state(rng, 3), three_tangle_spec()
+        evaluate_monotone(psi, spec, "direct")
+        calls = []
+        from_terms = PauliSum.from_terms.__func__
+        monkeypatch.setattr(PauliSum, "from_terms", classmethod(
+            lambda cls, *args, **kwargs: calls.append(args) or from_terms(cls, *args, **kwargs)))
+        evaluate_monotone(psi, spec, "direct")
+        assert calls == []
+
     @pytest.mark.parametrize("path,calls", [("direct", 3), ("embedded", 6)])
     def test_one_application_per_distinct_label(self, path, calls, monkeypatch, rng):
         # The 3-tangle has 3 distinct labels, each used twice per term.
