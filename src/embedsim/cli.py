@@ -455,13 +455,16 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad syntax or encoding, an integer beyond Python's digit limit, deep nesting
+            raise ConfigError(f"config cannot be read as JSON: {exc}") from exc
         if isinstance(raw, dict):
             # --shots and --seed go into the fields they set, so the one parse
             # checks them; a block that is not an object is left to it.
             if args.shots is not None and raw.get("shots") is None:
                 raw["shots"] = {}
+            if args.seed is not None and raw.get("workflow") == "roof" and raw.get("roof") is None:
+                raw["roof"] = {}
             for block, key, value in (("shots", "shots", args.shots),
                                       ("shots", "seed", args.seed), ("roof", "seed", args.seed)):
                 if value is not None and isinstance(raw.get(block), dict):

@@ -4,7 +4,10 @@ The outer minimization runs over pure-state decompositions parameterized by
 isometries acting on the spectral ensemble; the inner loop evaluates each
 member's monotone through the embedded path. A derivative-free coordinate
 search (quadratic fit per coordinate, shrinking step) drives the descent.
-The result is always an upper bound: every decomposition is feasible.
+Its restarts descend in lockstep: the objective takes a batch of parameter
+rows, and one call evaluates the probes of every live restart at each sweep
+position. The result is always an upper bound: every decomposition is
+feasible.
 """
 
 from __future__ import annotations
@@ -87,14 +90,15 @@ def _spectral(rho: MixedState) -> np.ndarray:
 
 
 def _members_from_isometry(scaled: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized ensemble steering: phi_j = sum_i W_ji sqrt(lam_i) e_i.
-    Returns (probabilities, row-stacked normalized states)."""
-    phi = scaled @ w.T                       # (dim, k)
-    probs = np.sum(np.abs(phi) ** 2, axis=0)
-    states = np.zeros_like(phi.T)
-    nz = probs > PROB_FLOOR
-    states[nz] = (phi[:, nz] / np.sqrt(probs[nz])).T
-    return probs, states
+    """Unnormalized ensemble steering phi_j = sum_i W_ji sqrt(lam_i) e_i for
+    each isometry of the batch w (b, k, r). Returns (probabilities (b, k),
+    normalized states (b, k, dim)); a member at or below PROB_FLOOR gets a
+    zero state."""
+    phi = scaled @ w.transpose(0, 2, 1)      # (b, dim, k)
+    probs = np.sum(np.abs(phi) ** 2, axis=1)
+    states = np.zeros_like(phi)
+    np.divide(phi, np.sqrt(probs)[:, None, :], out=states, where=(probs > PROB_FLOOR)[:, None, :])
+    return probs, states.transpose(0, 2, 1)
 
 
 def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition:
@@ -105,7 +109,7 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
         raise ValueError(f"isometry must be k x {r} for this state, got {w.shape}")
     if np.max(np.abs(w.conj().T @ w - np.eye(r))) > 1e-10:
         raise ValueError("columns are not orthonormal within 1e-10")
-    probs, states = _members_from_isometry(scaled, w)
+    (probs,), (states,) = _members_from_isometry(scaled, w[None])
     members = tuple(
         (float(p), PureState.from_amplitudes(states[j]))
         for j, p in enumerate(probs)
@@ -127,101 +131,127 @@ def _ensemble_value(
     probs: np.ndarray,
     states: np.ndarray,
     shots: ShotPlan | None,
-) -> float:
-    """sum_j p_j E(phi_j) over the members (rows of `states`) above
-    PROB_FLOOR, each evaluated via the embedded path; with shots, member j
-    samples its exact (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
+) -> np.ndarray:
+    """sum_j p_j E(phi_j) for each ensemble of the batch (probs (b, k),
+    states (b, k, dim)) over its members above PROB_FLOOR, each evaluated
+    via the embedded path; with shots, member j samples its exact
+    (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
     nz = probs > PROB_FLOOR
-    tilde = np.hstack([states.real, states.imag])
+    b, k, _ = states.shape
+    tilde = np.concatenate([states.real, states.imag], axis=-1).reshape(b * k, -1)
     if shots is None:
-        return float(probs[nz] @ evaluator.values_batch(tilde[nz]))
-    ex = evaluator.antilinear_batch(tilde[nz])
-    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(ex.shape[0], -1)
-    total = 0.0
-    for j, exact in zip(np.flatnonzero(nz), pairs):
+        values = evaluator.values_batch(tilde).reshape(b, k, 1)
+        # a matmul per row keeps the member sum a BLAS dot product; a plain
+        # sum over the row rounds differently in the last bit
+        return (np.where(nz, probs, 0.0)[:, None, :] @ values)[:, 0, 0]
+    ex = evaluator.antilinear_batch(tilde)
+    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(b, k, -1)
+    totals = np.zeros(b)
+    for i, j in zip(*np.nonzero(nz)):
         plan = ShotPlan(shots.shots, (shots.seed + int(j)) % 2**64)
-        total += probs[j] * combine_estimates(evaluator.spec, sample_estimates(exact, plan))
-    return float(total)
+        totals[i] += probs[i, j] * combine_estimates(evaluator.spec, sample_estimates(pairs[i, j], plan))
+    return totals
 
 
 def roof_objective(
     d: Decomposition, spec: MonotoneSpec, shots: ShotPlan | None = None
 ) -> float:
     """sum_i p_i E(|psi_i>), every member evaluated via the embedded path."""
-    probs = np.array([p for p, _ in d.members])
-    states = np.array([psi.amplitudes for _, psi in d.members])
-    return _ensemble_value(EmbeddedEvaluator(spec), probs, states, shots)
+    probs = np.array([[p for p, _ in d.members]])
+    states = np.array([[psi.amplitudes for _, psi in d.members]])
+    return float(_ensemble_value(EmbeddedEvaluator(spec), probs, states, shots)[0])
 
 
 def _isometry_from_params(x: np.ndarray, upper: tuple, r: int) -> np.ndarray:
-    """exp(-iG)[:, :r], G Hermitian with diagonal x[:k] and (re, im) pairs x[k:] at `upper`."""
-    k = math.isqrt(x.size)
-    g = np.zeros((k, k), dtype=complex)
-    np.fill_diagonal(g, x[:k])
-    vals = x[k::2] + 1j * x[k + 1::2]
-    g[upper] = vals
-    g.T[upper] = vals.conj()
+    """exp(-iG)[:, :r] for each row of x (b, n): G Hermitian with diagonal
+    x[:k] and (re, im) pairs x[k:] at `upper`. Returns (b, k, r)."""
+    k = math.isqrt(x.shape[1])
+    g = np.zeros((len(x), k, k), dtype=complex)
+    diagonal = np.arange(k)
+    g[:, diagonal, diagonal] = x[:, :k]
+    vals = x[:, k::2] + 1j * x[:, k + 1::2]
+    g[:, upper[0], upper[1]] = vals
+    g[:, upper[1], upper[0]] = vals.conj()
     evals, vecs = np.linalg.eigh(g)
-    u = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-    return u[:, :r]
+    u = (vecs * np.exp(-1j * evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return u[:, :, :r]
 
 
 def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
     """Coordinate-wise quadratic fit with shrinking step, plus a pattern
-    (accelerated) move after each productive sweep; returns
-    (x, fx, per-iteration best history, converged, iterations used)."""
+    (accelerated) move after each productive sweep, for every row of x0
+    (b, n) in lockstep. f maps a batch of points (m, n) to their values
+    (m,); one call takes the +h and -h probes of every live row, one the
+    quadratic-fit points, one the pattern trials. Each row descends exactly
+    as it would alone, except that a row ending below 1e-12 stops every
+    later row. Returns per row (x, fx, per-iteration best history,
+    converged, iterations used)."""
     x = np.array(x0, dtype=float)
     fx = f(x)
-    history = [fx]
-    h = init_step
-    converged = False
-    iterations = 0
+    histories = [[float(v)] for v in fx]
+    h = np.full(len(x), init_step)
+    converged = np.zeros(len(x), dtype=bool)
+    iterations = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
     for it in range(max_iterations):
-        iterations = it + 1
-        x_before = x.copy()
-        f_before = fx
-        for c in range(x.size):
-            xc = x[c]
-            x[c] = xc + h
-            fp = f(x)
-            x[c] = xc - h
-            fm = f(x)
-            x[c] = xc
-            candidates = [(fp, xc + h), (fm, xc - h)]
-            curv = (fp + fm - 2.0 * fx) / h**2
-            slope = (fp - fm) / (2.0 * h)
-            if curv > 1e-12:
-                delta = float(np.clip(-slope / curv, -4.0 * h, 4.0 * h))
-                if abs(abs(delta) - h) > 1e-15:
-                    x[c] = xc + delta
-                    candidates.append((f(x), xc + delta))
-                    x[c] = xc
-            fbest, xbest = min(candidates, key=lambda t: t[0])
-            if fbest < fx - 1e-15:
-                x[c] = xbest
-                fx = fbest
-        # pattern move: extend along the net sweep displacement while it helps
-        direction = x - x_before
-        if fx < f_before and np.any(direction):
-            scale = 1.0
-            for _ in range(8):
-                trial = x + scale * direction
-                f_trial = f(trial)
-                if f_trial < fx - 1e-15:
-                    x, fx = trial, f_trial
-                    scale *= 2.0
-                else:
-                    break
-        history.append(fx)
-        if fx < 1e-12:
-            converged = True
+        if not live.size:
             break
-        if f_before - fx < tolerance:
-            h *= 0.5
-            if h < tolerance:
-                converged = True
-                break
-    return x, fx, history, converged, iterations
+        iterations[live] = it + 1
+        xs, fs, hs = x[live], fx[live], h[live]
+        x_before, f_before = xs.copy(), fs.copy()
+        m, steps = len(live), np.concatenate([hs, -hs])
+        for c in range(x.shape[1]):
+            probes = np.concatenate([xs, xs])
+            probes[:, c] += steps
+            fpm = f(probes)
+            fp, fm, xp, xm = fpm[:m], fpm[m:], probes[:m, c], probes[m:, c]
+            curv = (fp + fm - 2.0 * fs) / hs**2
+            slope = (fp - fm) / (2.0 * hs)
+            # candidates in the order +h, -h, fit; the first least one wins
+            lower = fm < fp
+            fbest, xbest = np.where(lower, fm, fp), np.where(lower, xm, xp)
+            fit = np.flatnonzero(curv > 1e-12)
+            delta = np.clip(-slope[fit] / curv[fit], -4.0 * hs[fit], 4.0 * hs[fit])
+            moved = np.abs(np.abs(delta) - hs[fit]) > 1e-15
+            fit, delta = fit[moved], delta[moved]
+            if fit.size:
+                points = xs[fit]
+                points[:, c] += delta
+                fq = f(points)
+                lower = fq < fbest[fit]
+                fbest[fit[lower]], xbest[fit[lower]] = fq[lower], points[lower, c]
+            better = fbest < fs - 1e-15
+            xs[better, c], fs[better] = xbest[better], fbest[better]
+        # pattern move: extend along the net sweep displacement while it helps;
+        # the trials are x + d, x + 3d, x + 7d, ... and accepted in order
+        direction = xs - x_before
+        rows = np.flatnonzero((fs < f_before) & np.any(direction != 0.0, axis=1))
+        if rows.size:
+            trials, t, d, scale = [], xs[rows], direction[rows], 1.0
+            for _ in range(8):
+                t = t + scale * d
+                trials.append(t)
+                scale *= 2.0
+            trials = np.stack(trials, axis=1)                 # (rows, 8, n)
+            ft = f(trials.reshape(-1, x.shape[1])).reshape(rows.size, -1)
+            for i, row in enumerate(rows):
+                for point, f_trial in zip(trials[i], ft[i]):
+                    if not f_trial < fs[row] - 1e-15:
+                        break
+                    xs[row], fs[row] = point, f_trial
+        for row, value in zip(live, fs):
+            histories[row].append(float(value))
+        zero = fs < 1e-12
+        stalled = ~zero & (f_before - fs < tolerance)
+        hs[stalled] *= 0.5
+        done = zero | (stalled & (hs < tolerance))
+        x[live], fx[live], h[live], converged[live] = xs, fs, hs, done
+        # a row ending below 1e-12 ends every later restart
+        keep = ~done
+        if zero.any():
+            keep &= live < live[zero][0]
+        live = live[keep]
+    return x, fx, histories, converged, iterations
 
 
 def convex_roof_estimate(
@@ -240,30 +270,31 @@ def convex_roof_estimate(
 
     evaluator = EmbeddedEvaluator(spec)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> np.ndarray:
         probs, states = _members_from_isometry(scaled, _isometry_from_params(x, upper, r))
         return _ensemble_value(evaluator, probs, states, cfg.shots)
 
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    for restart in range(cfg.restarts):
-        x0 = np.zeros(n_params) if restart == 0 else rng.normal(0.0, 0.6, n_params)
-        x, fx, history, converged, iterations = _coordinate_descent(
-            objective, x0, cfg.max_iterations, cfg.tolerance
-        )
-        if best is None or fx < best[1]:
-            best = (x, fx, history, converged, iterations)
-        if fx < 1e-12:
+    # restart 0 starts at the spectral decomposition, the others at draws
+    x0 = np.zeros((cfg.restarts, n_params))
+    x0[1:] = np.random.default_rng(cfg.seed).normal(0.0, 0.6, (cfg.restarts - 1, n_params))
+    x, fx, histories, converged, iterations = _coordinate_descent(
+        objective, x0, cfg.max_iterations, cfg.tolerance
+    )
+    # pick as if the restarts ran one after another: the first least value
+    # wins, and none after the first to end below 1e-12 runs
+    best = 0
+    for i in range(cfg.restarts):
+        best = i if fx[i] < fx[best] else best
+        if fx[i] < 1e-12:
             break
 
-    x, fx, history, converged, iterations = best
-    decomposition = decomposition_from_isometry(rho, _isometry_from_params(x, upper, r))
+    decomposition = decomposition_from_isometry(rho, _isometry_from_params(x[best:best + 1], upper, r)[0])
     return RoofResult(
-        value=fx,
+        value=float(fx[best]),
         decomposition=decomposition,
-        iterations=iterations,
-        converged=converged,
-        history=tuple(history),
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
+        history=tuple(histories[best]),
     )
 
 

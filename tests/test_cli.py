@@ -29,9 +29,12 @@ from embedsim.cli import (
 
 
 def write_config(tmp_path, payload, name="config.json"):
-    """Write a config; a str payload is written verbatim."""
+    """Write a config; a str or bytes payload is written verbatim."""
     path = tmp_path / name
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -275,6 +278,19 @@ class TestMainExitCodes:
         dest = tmp_path / "no_such_dir" / "out.json"
         assert main(["--config", cfg, "--output", str(dest)]) == 4
         assert not dest.exists()
+
+
+class TestUndecodableConfigExits2:
+    @pytest.mark.parametrize("payload", [
+        '{"workflow": "count", "n_qubits": ' + "1" * 5001 + "}",
+        b'{"workflow": "\xff\xfe"}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["5001-digit-integer", "not-utf8", "nested-100000-deep"])
+    def test_exits_2_without_traceback(self, tmp_path, payload):
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 2
+        assert "cannot be read as JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitCodesWithoutTraceback:
@@ -595,6 +611,19 @@ class TestOverridesAreConfigFields:
         assert proc.returncode == 2
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_seed_override_on_a_roof_config_with_no_roof_block(self, tmp_path):
+        # Without a roof block the seed used to be dropped, and the solve ran on seed 0.
+        payload = {**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": 0.6}}
+        del payload["roof"]
+        rows = []
+        for config in (payload, {**payload, "roof": {}}):
+            proc = run_cli(tmp_path, config, "--seed", "5", "--format", "csv")
+            assert proc.returncode == 0, proc.stderr
+            (row,) = csv.DictReader(io.StringIO(proc.stdout))
+            row.pop("duration_ms")
+            rows.append(row)
+        assert rows[0] == rows[1]
 
     def test_shots_override_supplies_the_roof_shot_plan(self, tmp_path, capsys):
         roof = {"restarts": 1, "max_iterations": 2, "extra_terms": 0, "use_shots": True}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from embedsim import (
     werner_state,
     wootters_oracle,
 )
+from embedsim import convexroof
 from embedsim.convexroof import _coordinate_descent
+from embedsim.monotones import EmbeddedEvaluator
 
 from conftest import random_product_state, random_state
 
@@ -224,15 +228,79 @@ class TestConvexRoofEstimate:
         assert res.decomposition.reconstructs(rho)
 
 
+def solve_objective(monkeypatch, rho, spec, cfg):
+    """The batched objective convex_roof_estimate(rho, spec, cfg) descends,
+    caught on its way into the descent."""
+    caught = []
+    descend = convexroof._coordinate_descent
+
+    def spy(f, *args):
+        caught.append(f)
+        return descend(f, *args)
+
+    monkeypatch.setattr(convexroof, "_coordinate_descent", spy)
+    convex_roof_estimate(rho, spec, dataclasses.replace(cfg, max_iterations=1, restarts=1))
+    monkeypatch.undo()
+    return caught[0]
+
+
 class TestCoordinateDescent:
     def test_quadratic_bowl(self):
-        f = lambda x: float(np.sum((x - 1.0) ** 2))
-        x, fx, history, converged, _ = _coordinate_descent(
-            f, np.zeros(3), 200, 1e-8
+        f = lambda x: np.sum((x - 1.0) ** 2, axis=1)
+        x, fx, (history,), (converged,), _ = _coordinate_descent(
+            f, np.zeros((1, 3)), 200, 1e-8
         )
-        assert fx < 1e-10
+        assert fx[0] < 1e-10
         assert converged
         assert np.all(np.diff(history) <= 1e-15)
+
+    def test_each_row_descends_as_it_would_alone(self, monkeypatch):
+        rho = random_rank2_state(np.random.default_rng(21))
+        f = solve_objective(monkeypatch, rho, concurrence_spec(), RoofConfig(extra_terms=1))
+        x0 = np.vstack([np.zeros(9), np.random.default_rng(4).normal(0.0, 0.6, (3, 9))])
+        together = _coordinate_descent(f, x0, 40, 1e-3)
+        assert np.all(together[1] > 1e-12)            # no row stops a later one
+        assert len(set(together[4])) > 1              # rows leave the batch at different iterations
+        for i, row in enumerate(x0):
+            alone = _coordinate_descent(f, row[None], 40, 1e-3)
+            np.testing.assert_array_equal(together[0][i], alone[0][0])
+            assert together[1][i] == alone[1][0]
+            assert together[2][i] == alone[2][0]
+            assert (together[3][i], together[4][i]) == (alone[3][0], alone[4][0])
+
+    def test_a_row_ending_below_1e_12_stops_every_later_row(self):
+        # a quartic bowl, so that no row lands on the minimum in one sweep
+        f = lambda x: np.sum((x - 1.0) ** 2 + 0.1 * (x - 1.0) ** 4, axis=1)
+        x0 = np.array([[3.7, -2.2], [1.0, 1.0], [-1.3, 4.1]])
+        x, fx, history, converged, iterations = _coordinate_descent(f, x0, 200, 1e-8)
+        assert (fx[1], converged[1], iterations[1]) == (0.0, True, 1)
+        assert (converged[2], iterations[2], len(history[2])) == (False, 1, 2)
+        assert _coordinate_descent(f, x0[2:], 200, 1e-8)[4][0] > 1
+        # the earlier row runs on, exactly as it would alone
+        alone = _coordinate_descent(f, x0[:1], 200, 1e-8)
+        assert history[0] == alone[2][0]
+        assert iterations[0] == alone[4][0] > 1
+
+    @pytest.mark.parametrize("shots", [None, ShotPlan(300, 9)], ids=["exact", "shots"])
+    def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, shots):
+        rho = random_rank2_state(np.random.default_rng(8))
+        f = solve_objective(monkeypatch, rho, concurrence_spec(), RoofConfig(shots=shots))
+        # the zero row is the spectral ensemble, padded with members of weight 0
+        x = np.vstack([np.zeros(16), np.random.default_rng(2).normal(0.0, 0.6, (4, 16))])
+        np.testing.assert_array_equal(f(x), np.concatenate([f(row[None]) for row in x]))
+
+    def test_werner_solve_makes_few_evaluator_calls(self, monkeypatch):
+        calls = []
+        values_batch = EmbeddedEvaluator.values_batch
+
+        def count(self, tilde):
+            calls.append(len(tilde))
+            return values_batch(self, tilde)
+
+        monkeypatch.setattr(EmbeddedEvaluator, "values_batch", count)
+        convex_roof_estimate(werner_state(0.8), concurrence_spec())
+        # one call per sweep position and kind of probe, not one per point
+        assert len(calls) <= 6000
 
 
 class TestEfficiencyCheck:
