@@ -46,6 +46,10 @@ PATH_AGREEMENT_ATOL = 1e-9
 MAX_EVOLUTION_STEPS = 10**6
 MAX_ROOF_RESTARTS = 10**3
 MAX_ROOF_ITERATIONS = 10**5
+# Cap on a config's qubit counts: a preset state of 24 qubits holds 256 MiB of
+# amplitudes, and larger counts would allocate past memory or emit a
+# tomography baseline too long to print.
+MAX_QUBITS = 24
 
 
 def bell_state() -> PureState:
@@ -113,7 +117,8 @@ class ResultRecord:
     roof_converged: bool | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name; the lists are the record's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _fail(field: str, message: str):
@@ -186,7 +191,7 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
     if isinstance(raw, dict):
         _object(raw, "monotone", ("name", "n_qubits", "factors", "contractions"))
         with _field("monotone"):
-            _integer(raw.get("n_qubits"), "monotone.n_qubits", 1, np.inf)
+            _integer(raw.get("n_qubits"), "monotone.n_qubits", 1, MAX_QUBITS)
             for slot in (s for factor in raw["factors"] for s in factor if isinstance(s, dict)):
                 _integer(slot.get("idx"), "monotone.factors.idx", -np.inf, np.inf)
             for label in (label for pair in raw["contractions"] for label in pair):
@@ -217,7 +222,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     n_qubits = raw.get("n_qubits")
     if n_qubits is not None:
-        _integer(n_qubits, "n_qubits", 1, np.inf)
+        _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
 
     hamiltonian = None
     if raw.get("hamiltonian") is not None:

@@ -6,8 +6,10 @@ member's monotone through the embedded path. A derivative-free coordinate
 search (quadratic fit per coordinate, shrinking step) drives the descent.
 Its restarts descend in lockstep: the objective takes a batch of parameter
 rows, and one call evaluates the probes of every live restart at each sweep
-position. The result is always an upper bound: every decomposition is
-feasible.
+position. Without shots the result is always an upper bound: every
+decomposition is feasible. Under `RoofConfig.shots` each member samples on
+fixed streams at every objective call, so `value` is the minimum of one
+noise realisation, an in-sample estimate that can fall below the roof.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
 def convex_roof_estimate(
     rho: MixedState, spec: MonotoneSpec, cfg: RoofConfig = RoofConfig()
 ) -> RoofResult:
-    """Upper-bound estimate of the convex-roof monotone of rho.
+    """Upper-bound estimate of the convex-roof monotone of rho; with
+    `cfg.shots`, an in-sample minimum that can fall below the roof.
 
     The decomposition size is k = rank + extra_terms, capped at 4^N (no
     optimal decomposition needs more members than rank^2 <= 4^N).
@@ -299,13 +302,16 @@ def convex_roof_estimate(
 
 
 def wootters_oracle(rho: MixedState) -> float:
-    """Closed-form two-qubit mixed-state concurrence; validation oracle only."""
+    """Closed-form two-qubit mixed-state concurrence; validation oracle only.
+
+    With rho = S S^dagger and S = V sqrt(Lambda), the Wootters lambdas are the
+    singular values of S^T (Y (x) Y) S, in decreasing order."""
     if rho.n != 2:
         raise ValueError("the closed form applies to two qubits")
     yy = dense_matrix(PauliString("YY")).real  # YY is real despite two Ys
-    m = rho.matrix @ yy @ rho.matrix.conj() @ yy
-    evals = np.sort(np.abs(np.linalg.eigvals(m).real))[::-1]
-    lam = np.sqrt(evals)
+    evals, vecs = np.linalg.eigh(rho.matrix)
+    s = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    lam = np.linalg.svd(s.T @ yy @ s, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -6,11 +6,18 @@ ancilla occupies the leftmost (most significant) position. In the enlarged
 space complex conjugation becomes the gate Z (x) I, and any real-coefficient
 Hermitian Hamiltonian maps to a purely imaginary Hermitian one via a
 per-term rule on the Y parity.
+
+Every embedded term carries I or Y on the ancilla, so Y (x) I is conserved.
+A real enlarged vector [x; y] has the component (x - iy)/sqrt(2) in the
+Y_ancilla = +1 sector and its conjugate in the -1 sector, and the generator
+restricted to that sector (`EmbeddedHamiltonian.sector`) is an n-qubit sum:
+the embedded terms with the ancilla symbol dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +64,8 @@ class EnlargedState:
 
 @dataclass(frozen=True)
 class EmbeddedHamiltonian:
-    """Purely imaginary Hermitian generator acting on the enlarged register."""
+    """Purely imaginary Hermitian generator acting on the enlarged register;
+    every term carries I or Y on the ancilla, so it conserves Y (x) I."""
 
     operator: PauliSum
 
@@ -67,10 +75,24 @@ class EmbeddedHamiltonian:
                 raise ValueError(
                     f"embedded Hamiltonian term {string} has even Y parity"
                 )
+            if string.symbols[0] not in "IY":
+                raise ValueError(
+                    f"embedded Hamiltonian term {string} does not conserve the ancilla Y"
+                )
 
     @property
     def n(self) -> int:
         return self.operator.n
+
+    @cached_property
+    def sector(self) -> PauliSum:
+        """The generator on the Y_ancilla = +1 eigenspace, where I and Y both
+        act as 1: its own terms and coefficients with the ancilla dropped.
+        Built from the embedded terms, not from the simulated Hamiltonian."""
+        return PauliSum(
+            n=self.n - 1,
+            terms=tuple((c, PauliString(p.symbols[1:])) for c, p in self.operator.terms),
+        )
 
 
 def embed_state(psi: PureState) -> EnlargedState:

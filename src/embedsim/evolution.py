@@ -1,17 +1,22 @@
 """Unitary time evolution: exact eigendecomposition propagator and first /
 second order product-formula approximations (hbar = 1).
 
-Enlarged-space trajectories stay structurally real in the product-formula
-path: each per-term exponential of an imaginary Hermitian Pauli term is a
-real rotation, applied in real arithmetic.
+Enlarged-space trajectories stay structurally real. In the product-formula
+path each per-term exponential of an imaginary Hermitian Pauli term is a
+real rotation, applied in real arithmetic. The exact path evolves the
+component x - iy of [x; y] in the conserved Y_ancilla = +1 sector, an n-qubit
+problem, and rebuilds the real vector [Re a; -Im a] from the result a.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .embedding import EmbeddedHamiltonian, EnlargedState
-from .pauli import PauliSum, _checked, _kernel
+from .errors import NumericalIntegrityError
+from .pauli import PauliSum, _check_dense, _checked, _kernel
 
 METHODS = ("exact", "trotter1", "trotter2")
 
@@ -62,6 +67,11 @@ def evolve(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
+    if not math.isfinite(sum(abs(c) for c, _ in h.terms) * max(1.0, abs(t))):
+        raise NumericalIntegrityError(
+            f"sum |c| * max(1, |t|) exceeds the float range at t={t}: "
+            "the spectrum or the phases would overflow"
+        )
     if method == "exact":
         return evolve_exact(s, h, t)
     return evolve_trotter(s, h, t, steps, 1 if method == "trotter1" else 2)
@@ -74,6 +84,18 @@ def evolve_enlarged(
     method: str = "exact",
     steps: int = 1,
 ) -> EnlargedState:
-    """Evolve an enlarged real state; EnlargedState rejects any imaginary
-    residue the propagator grew and keeps the real part."""
-    return EnlargedState(evolve(state.amplitudes, h_tilde.operator, t, method, steps))
+    """Evolve an enlarged real state.
+
+    Under "exact" the upper and lower halves x, y evolve as a = x - iy under
+    `h_tilde.sector`, diagonalised once per EmbeddedHamiltonian at 2^n, and
+    [Re a; -Im a] is real by construction; the register is still held to the
+    dense cap of the (n+1)-qubit operator. The product formulas rotate the
+    real vector under `h_tilde.operator`; EnlargedState rejects any imaginary
+    residue they grew and keeps the real part.
+    """
+    if method != "exact":
+        return EnlargedState(evolve(state.amplitudes, h_tilde.operator, t, method, steps))
+    _check_dense(h_tilde.n)
+    x, y = np.split(state.amplitudes, 2)
+    a = evolve(x - 1j * y, h_tilde.sector, t)
+    return EnlargedState(np.concatenate([a.real, -a.imag]))

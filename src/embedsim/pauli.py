@@ -120,13 +120,18 @@ def _apply_string(p: PauliString, s: np.ndarray, weight: float = 1.0) -> np.ndar
     return k.image(s, w, np.empty(s.size, complex if w.imag or np.iscomplexobj(s) else float))
 
 
-def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
-    """Dense sum of weighted strings, scattered one nonzero per row and
-    term: O(2^n) work per term."""
+def _check_dense(n: int) -> None:
+    """Refuse dense work on a register of more than DENSE_QUBIT_CAP qubits."""
     if n > DENSE_QUBIT_CAP:
         raise CapacityError(
             f"dense materialization capped at {DENSE_QUBIT_CAP} qubits, got {n}"
         )
+
+
+def _dense(n: int, terms: Iterable[tuple[float, PauliString]]) -> np.ndarray:
+    """Dense sum of weighted strings, scattered one nonzero per row and
+    term: O(2^n) work per term."""
+    _check_dense(n)
     idx = np.arange(1 << n)
     out = np.zeros((idx.size, idx.size), dtype=complex)
     for coeff, string in terms:

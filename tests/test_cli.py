@@ -1,11 +1,13 @@
 import copy
 import csv
+import dataclasses
 import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,12 @@ import embedsim
 from embedsim import ConfigError, expand_to_observables
 from embedsim.cli import (
     MAX_EVOLUTION_STEPS,
+    MAX_QUBITS,
     MAX_ROOF_ITERATIONS,
     MAX_ROOF_RESTARTS,
+    METHODS,
+    WORKFLOWS,
+    _render,
     emit,
     ghz_state,
     main,
@@ -170,7 +176,8 @@ class TestRun:
         payload = {**WORKED_EXAMPLE_EVOLVE, "times": [0.1 * (k + 1) for k in range(8)]}
         records = run(parse_config(payload))
         assert len(records) == 8
-        assert sorted(calls) == [(4, 4), (8, 8)]
+        # H on the direct path, and H~ through its 2-qubit ancilla-Y sector
+        assert sorted(calls) == [(4, 4), (4, 4)]
 
     def test_evolve_with_shots_evaluates_each_observable_once(self, monkeypatch):
         # per_observable feeds both value_embedded and the shot sampler.
@@ -309,6 +316,15 @@ class TestExitCodesWithoutTraceback:
         assert "evolution.method" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_phases_beyond_the_float_range_exit_3(self, tmp_path):
+        # found by the whole-run fuzz: EnlargedState's norm check raised on NaN
+        payload = {**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": 1e300, "pauli": "XY"}],
+                   "times": [1e10]}
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 3
+        assert "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_evolution_given_as_string(self, tmp_path):
         proc = run_cli(tmp_path, {**WORKED_EXAMPLE_EVOLVE, "evolution": "trotter"})
         assert proc.returncode == 2
@@ -386,6 +402,12 @@ class TestStrictConfig:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert all(row[key] for row in rows)
         assert [float(row[key]) for row in rows] == [r[key] for r in records]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_json_is_the_deep_copied_record(self, path):
+        records = run(parse_config(json.loads(path.read_text())))
+        reference = json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
+        assert _render(records, "json") == reference
 
     def test_benchmark_evolve_config_parses(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -468,6 +490,10 @@ class TestOverflowExitsWithoutTraceback:
         assert "Traceback" not in proc.stderr
 
 
+SPEC_OBJECT = {"name": "c", "n_qubits": 2, "factors": [["Y", {"idx": 0}], ["Y", {"idx": 1}]],
+               "contractions": [[0, 1]]}
+
+
 class TestLoopCountCaps:
     @pytest.mark.parametrize("payload,field", [
         ({**WORKED_EXAMPLE_EVOLVE, "evolution": {"method": "trotter1", "steps": 10**12}},
@@ -475,7 +501,12 @@ class TestLoopCountCaps:
         ({**ROOF_WERNER, "roof": {"restarts": 10**9}}, "'roof.restarts'"),
         ({**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 10**12}},
          "'roof.max_iterations'"),
-    ], ids=["steps", "restarts", "max_iterations"])
+        # found by the whole-run fuzz: a MemoryError and an integer too long to print
+        ({**BELL_MONOTONE, "initial_state": "ghz", "n_qubits": 2**64}, "'n_qubits'"),
+        ({"workflow": "count", "monotone": "n_qubit", "n_qubits": 10**7}, "'n_qubits'"),
+        ({"workflow": "count", "monotone": {**SPEC_OBJECT, "n_qubits": MAX_QUBITS + 1}},
+         "'monotone.n_qubits'"),
+    ], ids=["steps", "restarts", "max_iterations", "state-qubits", "count-qubits", "spec-qubits"])
     def test_count_beyond_its_cap_exits_2(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
@@ -491,10 +522,8 @@ class TestLoopCountCaps:
         config = parse_config(roof)
         assert config.roof.restarts == MAX_ROOF_RESTARTS
         assert config.roof.max_iterations == MAX_ROOF_ITERATIONS
-
-
-SPEC_OBJECT = {"name": "c", "n_qubits": 2, "factors": [["Y", {"idx": 0}], ["Y", {"idx": 1}]],
-               "contractions": [[0, 1]]}
+        count = parse_config({"workflow": "count", "monotone": "n_qubit", "n_qubits": MAX_QUBITS})
+        assert count.monotone.n_qubits == MAX_QUBITS
 
 
 class TestIntegerFields:
@@ -725,3 +754,97 @@ class TestConfigFuzz:
             parse_config(with_value(field, value))
         except ConfigError:
             pass
+
+
+# Whole-run fuzz: a well-formed document of every workflow, with huge and
+# tiny coefficients, times and shot counts, then up to two fields set to a
+# malformed or edge value or removed. Registers stay at 2 or 3 qubits and
+# loop counts small or past their caps, so a document that parses runs in
+# milliseconds.
+FINITE = st.sampled_from([
+    0.0, 1.0, -1.0, 0.3, 1e-300, 5e-324, 1e5, -2.5e5, 1e150, -1e300, 1.7e308,
+]) | st.floats(-10.0, 10.0)
+EDGE = st.sampled_from([
+    None, True, 0, 1, -1, 2.5, 10**7, 2**64, float("inf"), float("nan"), "", "x", "2", [], {},
+    [1, 2], {"x": 1}, "bell", "ghz", "werner", "exact", "trotter1", "concurrence", "XY",
+])
+REMOVE = object()
+MUTABLE_PATHS = [
+    ("workflow",), ("n_qubits",), ("initial_state",), ("hamiltonian",), ("hamiltonian", 0),
+    ("hamiltonian", 0, "coeff"), ("hamiltonian", 0, "pauli"), ("monotone",), ("times",),
+    ("times", 0), ("evolution",), ("evolution", "method"), ("evolution", "steps"), ("shots",),
+    ("shots", "shots"), ("shots", "seed"), ("roof",), ("roof", "extra_terms"),
+    ("roof", "max_iterations"), ("roof", "restarts"), ("roof", "tolerance"), ("roof", "seed"),
+    ("roof", "use_shots"), ("mixed_state",), ("mixed_state", "p"),
+]
+
+
+def mutate(doc, path, value):
+    """Set the value at path, or remove it, where its parent still exists."""
+    parent = doc
+    for key in path[:-1]:
+        try:
+            parent = parent[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(parent, dict):
+        if value is REMOVE:
+            parent.pop(key, None)
+        else:
+            parent[key] = value
+    elif isinstance(parent, list) and isinstance(key, int) and key < len(parent):
+        if value is not REMOVE:
+            parent[key] = value
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.sampled_from([2, 3]))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 << n, max_size=2 << n)))
+    norm = np.linalg.norm(v)
+    amplitudes = (v / norm).reshape(-1, 2).tolist() if norm > 0.1 else "w"
+    doc = {
+        "workflow": draw(st.sampled_from(WORKFLOWS)),
+        "n_qubits": n,
+        "initial_state": draw(st.sampled_from(["ghz", "w", "product", amplitudes])),
+        "hamiltonian": draw(st.lists(
+            st.fixed_dictionaries({"coeff": FINITE, "pauli": st.text("IXYZ", min_size=n, max_size=n)}),
+            min_size=1, max_size=4)),
+        "monotone": draw(st.sampled_from(["n_qubit", "concurrence" if n == 2 else "three_tangle"])),
+        "times": draw(st.lists(FINITE, min_size=1, max_size=3)),
+        "evolution": {"method": draw(st.sampled_from(METHODS)), "steps": draw(st.integers(1, 3))},
+        "roof": {"extra_terms": draw(st.integers(0, 1)), "max_iterations": draw(st.integers(1, 3)),
+                 "restarts": draw(st.integers(1, 2)),
+                 "tolerance": draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e300])),
+                 "seed": draw(st.integers(0, 2**64 - 1))},
+    }
+    if draw(st.booleans()):
+        doc["shots"] = {"shots": draw(st.sampled_from([1, 1000, 2**62])),
+                        "seed": draw(st.integers(0, 2**64 - 1))}
+        doc["roof"]["use_shots"] = draw(st.booleans())
+    if n == 2 and draw(st.booleans()):
+        doc["mixed_state"] = {"preset": "werner", "p": draw(FINITE | st.floats(0.0, 1.0))}
+    changes = st.tuples(st.sampled_from(MUTABLE_PATHS), EDGE | st.just(REMOVE))
+    for path, value in draw(st.lists(changes, max_size=2)):
+        mutate(doc, path, value)
+    return doc
+
+
+OVERRIDES = st.sampled_from([
+    [], ["--format", "csv"], ["--seed", "3"], ["--seed", "-1"], ["--shots", "50"], ["--shots", "0"],
+])
+
+
+class TestWholeRunFuzz:
+    """main returns an exit code of its contract, whatever the document."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=documents(), overrides=OVERRIDES)
+    def test_main_exits_0_2_3_or_4(self, document, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(document, fh)
+            code = main(["--config", config, "--output", os.path.join(tmp, "out"), *overrides])
+        assert code in (0, 2, 3, 4)

@@ -175,10 +175,16 @@ class TestWoottersOracle:
     def test_matches_pure_concurrence(self, rng):
         for _ in range(10):
             psi = random_state(rng, 2)
-            # non-Hermitian eigensolve limits the oracle to ~sqrt eps accuracy
             assert wootters_oracle(MixedState.from_pure(psi)) == pytest.approx(
-                concurrence(psi).value, abs=1e-6
+                concurrence(psi).value, abs=1e-12
             )
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_matches_the_numeric_roof_on_rank_two_states(self, seed):
+        rho = random_rank2_state(np.random.default_rng(seed))
+        oracle = wootters_oracle(rho)
+        assert oracle > 0.1
+        assert abs(oracle - convex_roof_estimate(rho, concurrence_spec()).value) <= 1e-12
 
 
 class TestConvexRoofEstimate:

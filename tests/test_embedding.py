@@ -157,6 +157,22 @@ class TestEmbedHamiltonian:
         with pytest.raises(ValueError):
             EmbeddedHamiltonian(PauliSum.from_terms([(1.0, "XZ")]))
 
+    def test_embedded_terms_rejected_unless_the_ancilla_is_i_or_y(self):
+        for label in ("XY", "ZYI"):
+            with pytest.raises(ValueError, match="ancilla"):
+                EmbeddedHamiltonian(PauliSum.from_terms([(1.0, label)]))
+
+    def test_sector_is_the_generator_on_the_plus_y_eigenspace(self, rng):
+        for n in (1, 2, 3):
+            basis = np.kron(np.array([[1.0], [1.0j]]) / np.sqrt(2), np.eye(1 << n))
+            for _ in range(10):
+                h = random_pauli_sum(rng, n)
+                tilde = embed_hamiltonian(h)
+                image = tilde.operator.dense() @ basis
+                np.testing.assert_allclose(basis.conj().T @ image, tilde.sector.dense(), atol=1e-12)
+                np.testing.assert_allclose(image, basis @ (basis.conj().T @ image), atol=1e-12)
+                np.testing.assert_allclose(tilde.sector.dense(), -h.dense().conj(), atol=1e-12)
+
     def test_intertwining_seeded(self, rng):
         # >= 100 random Hermitian sums on 2-3 qubits
         for n in (2, 3):

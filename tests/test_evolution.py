@@ -5,6 +5,9 @@ import pytest
 
 from embedsim import (
     CapacityError,
+    EmbeddedHamiltonian,
+    EnlargedState,
+    NumericalIntegrityError,
     PauliSum,
     PureState,
     dense_matrix,
@@ -17,6 +20,8 @@ from embedsim import (
     reality_residual,
     unembed_state,
 )
+from embedsim.evolution import METHODS
+from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL
 
 from conftest import random_pauli_sum, random_real_state, random_state
 
@@ -30,6 +35,18 @@ def test_plan_validation():
         evolve(s, h, np.inf)
     with pytest.raises(ValueError):
         evolve(s, h, 1.0, method="trotter1", steps=0)
+
+
+def test_overflowing_spectrum_or_phases_are_refused():
+    s = np.array([1.0, 0.0, 0.0, 0.0])
+    huge = PauliSum.from_terms([(1e300, "XY"), (1e300, "ZI")])
+    for h, t in ((huge, 1e10), (PauliSum.from_terms([(1.7e308, "XY"), (1.7e308, "ZI")]), 1e-300)):
+        for method in METHODS:
+            with pytest.raises(NumericalIntegrityError):
+                evolve(s, h, t, method)
+    with pytest.raises(NumericalIntegrityError):
+        evolve_enlarged(EnlargedState(np.eye(8)[0]), embed_hamiltonian(huge), 1e10)
+    assert np.isfinite(evolve(s, huge, 1e-300)).all()
 
 
 def test_zero_time_identity(rng):
@@ -192,3 +209,91 @@ def test_trotter_allocates_no_state_sized_temporaries():
         tracemalloc.stop()
     assert out.dtype == np.float64
     assert peak < 4 * s.nbytes
+
+
+def _enlarged_against_dense(h, psi, t):
+    """evolve_enlarged under "exact" against the dense 2^(n+1) propagator of
+    H~, within 1e-14 * max(1, sum|c| |t|); returns the enlarged result."""
+    h_tilde, s = embed_hamiltonian(h), embed_state(psi)
+    out = evolve_enlarged(s, h_tilde, t).amplitudes
+    ref = evolve_exact(s.amplitudes, h_tilde.operator, t)
+    scale = max(1.0, sum(abs(c) for c, _ in h.terms) * abs(t))
+    assert np.max(np.abs(out - ref)) <= 1e-14 * scale
+    assert out.dtype == np.float64
+    assert abs(np.linalg.norm(out) - 1.0) <= NORM_ATOL
+    return out
+
+
+class TestSectorPropagator:
+    """The exact enlarged propagator through the conserved ancilla-Y sector."""
+
+    def test_random_hamiltonians(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            _enlarged_against_dense(random_pauli_sum(rng, n), random_state(rng, n),
+                                    float(rng.uniform(-3.0, 3.0)))
+
+    def test_spectrum_with_a_zero_eigenvalue(self, rng):
+        h = PauliSum.from_terms([(1.0, "ZII"), (1.0, "IZI")])
+        assert np.min(np.abs(h.spectrum[0])) == 0.0
+        for t in (0.4, 2.0):
+            _enlarged_against_dense(h, random_state(rng, 3), t)
+
+    def test_single_term(self, rng):
+        h = PauliSum.from_terms([(0.8, "XYZ")])
+        _enlarged_against_dense(h, random_state(rng, 3), 1.3)
+
+    def test_negative_and_zero_time(self, rng):
+        h, psi = random_pauli_sum(rng, 3), random_state(rng, 3)
+        _enlarged_against_dense(h, psi, -1.7)
+        out = _enlarged_against_dense(h, psi, 0.0)
+        np.testing.assert_allclose(out, embed_state(psi).amplitudes, atol=1e-14)
+
+    def test_mixed_spectrum_with_large_coefficients(self, rng):
+        # eigenvalues near +-2e5 beside +-0.01
+        h = PauliSum.from_terms([(1e5, "ZI"), (1e5, "IZ"), (0.01, "XY")])
+        evals = np.sort(np.abs(h.spectrum[0]))
+        assert evals[0] == pytest.approx(0.01, rel=1e-6)
+        assert evals[-1] == pytest.approx(2e5, rel=1e-6)
+        for t in (0.37, -1.0, 10.0):
+            _enlarged_against_dense(h, random_state(rng, 2), t)
+
+    def test_composition(self, rng):
+        h_tilde = embed_hamiltonian(random_pauli_sum(rng, 3))
+        s = embed_state(random_state(rng, 3))
+        t1, t2 = 0.6, -1.9
+        twice = evolve_enlarged(evolve_enlarged(s, h_tilde, t1), h_tilde, t2)
+        once = evolve_enlarged(s, h_tilde, t1 + t2)
+        np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-14)
+
+    def test_one_eigh_at_2_to_the_n_per_hamiltonian(self, rng, monkeypatch):
+        h_tilde = embed_hamiltonian(random_pauli_sum(rng, 3))
+        s = embed_state(random_state(rng, 3))
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        for t in (0.3, 1.1, -2.5):
+            evolve_enlarged(s, h_tilde, t)
+        assert calls == [(8, 8)]
+
+    def test_sign_flipped_generator_disagrees_with_the_direct_path(self, rng):
+        # The sector is built from H~'s terms, so a wrong H~ still shows.
+        h = PauliSum.from_terms([(0.7, "XY"), (0.4, "ZI"), (-0.3, "YX")])
+        psi = random_state(rng, 2)
+        direct = evolve_exact(psi.amplitudes, h, 1.2)
+        h_tilde = embed_hamiltonian(h)
+        (c, p), *rest = h_tilde.operator.terms
+        flipped = EmbeddedHamiltonian(PauliSum(n=3, terms=((-c, p), *rest)))
+        for generator, agrees in ((h_tilde, True), (flipped, False)):
+            back = unembed_state(evolve_enlarged(embed_state(psi), generator, 1.2))
+            assert (np.max(np.abs(back.amplitudes - direct)) < 1e-12) == agrees
+
+    def test_refuses_an_enlarged_register_beyond_the_dense_cap(self, monkeypatch):
+        # 13 simulated qubits fit the cap, their 14-qubit register does not.
+        n = DENSE_QUBIT_CAP
+        h_tilde = embed_hamiltonian(PauliSum.from_terms([(1.0, "X" * n)]))
+        s = np.zeros(1 << (n + 1))
+        s[0] = 1.0
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh attempted"))
+        with pytest.raises(CapacityError):
+            evolve_enlarged(EnlargedState(s), h_tilde, 0.3)
