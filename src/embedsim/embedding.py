@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalIntegrityError
-from .pauli import NORM_ATOL, PauliString, PauliSum, PureState, _freeze, y_parity
+from .pauli import NORM_ATOL, PauliString, PauliSum, PureState, _freeze, _norm, y_parity
 
 REALITY_ATOL = 1e-10
 
@@ -51,7 +51,7 @@ class EnlargedState:
         size = arr.size
         if size < 4 or size & (size - 1):
             raise ValueError(f"enlarged vector length {size} is not a power of two >= 4")
-        norm = np.linalg.norm(arr)
+        norm = _norm(arr)
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"enlarged state norm {norm} deviates from 1")
         object.__setattr__(self, "amplitudes", _freeze(arr.copy()))

@@ -106,6 +106,17 @@ def _build(symbols: str) -> _Kernel:
     )
 
 
+def _xz_masks(symbols: str) -> tuple[int, int]:
+    """Bitmasks of the qubits carrying X or Y, and Z or Y."""
+    return (sum(1 << i for i, c in enumerate(symbols) if c in "XY"),
+            sum(1 << i for i, c in enumerate(symbols) if c in "ZY"))
+
+
+def _commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Two strings commute iff they anticommute at an even number of qubits."""
+    return ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() % 2 == 0
+
+
 def _checked(s, n: int) -> np.ndarray:
     s = np.asarray(s)
     if s.shape != (1 << n,):
@@ -201,6 +212,19 @@ class PauliSum:
         evals, vecs = np.linalg.eigh(self.dense())
         return _freeze(evals), _freeze(vecs)
 
+    @cached_property
+    def commuting_runs(self) -> tuple[tuple[tuple[float, PauliString], ...], ...]:
+        """The stored terms cut, in order, into maximal consecutive runs of
+        mutually commuting strings, computed on first use and kept."""
+        runs: list[list] = []  # [(term, its x/z masks)] per run
+        for term in self.terms:
+            xz = _xz_masks(term[1].symbols)
+            if runs and all(_commute(xz, other) for _, other in runs[-1]):
+                runs[-1].append((term, xz))
+            else:
+                runs.append([(term, xz)])
+        return tuple(tuple(term for term, _ in run) for run in runs)
+
     def to_records(self) -> list[dict]:
         return [{"coeff": c, "pauli": p.symbols} for c, p in self.terms]
 
@@ -245,6 +269,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _norm(arr: np.ndarray) -> float:
+    """2-norm of a state; inf past the float range, without numpy's overflow
+    warning, since every caller rejects a norm away from 1."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(arr))
+
+
 def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or (1 << n) != dim:
@@ -261,7 +292,7 @@ class PureState:
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex)
         _qubit_count(arr.size, "amplitude vector")
-        norm = np.linalg.norm(arr)
+        norm = _norm(arr)
         if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(arr.copy()))
@@ -270,7 +301,7 @@ class PureState:
     def from_amplitudes(cls, amplitudes, atol: float = 1e-8) -> "PureState":
         """Renormalize a nearly normalized vector (tolerance atol)."""
         arr = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(arr)
+        norm = _norm(arr)
         if not abs(norm - 1.0) <= atol:
             raise ValueError(f"amplitudes have norm {norm}, outside tolerance {atol}")
         return cls(arr / norm)
@@ -303,7 +334,9 @@ class MixedState:
         _qubit_count(mat.shape[0], "density matrix")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
+        with np.errstate(over="ignore"):  # entries near the float range fail as inf
+            asymmetry = np.max(np.abs(mat - mat.conj().T))
+        if asymmetry > HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > NORM_ATOL:
             raise ValueError("density matrix trace deviates from 1 beyond 1e-12")

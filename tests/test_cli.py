@@ -325,6 +325,23 @@ class TestExitCodesWithoutTraceback:
         assert "float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_phases_beyond_2_to_the_52_exit_3(self, tmp_path, method):
+        # Found at t = 1e300, where the next float gave another value, exit 0.
+        payload = {"workflow": "evolve", "initial_state": "w", "monotone": "three_tangle",
+                   "hamiltonian": [{"coeff": 1e5, "pauli": "XYZ"}, {"coeff": 0.7, "pauli": "ZZI"}],
+                   "times": [1e300], "evolution": {"method": method, "steps": 4}}
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 3
+        assert "2^52" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_amplitude_near_the_float_range_exits_2_without_a_warning(self, tmp_path):
+        proc = run_cli(tmp_path, {**BELL_MONOTONE, "initial_state": [1e300, 0, 0, 1]})
+        assert proc.returncode == 2
+        assert "initial_state" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_evolution_given_as_string(self, tmp_path):
         proc = run_cli(tmp_path, {**WORKED_EXAMPLE_EVOLVE, "evolution": "trotter"})
         assert proc.returncode == 2
@@ -754,6 +771,13 @@ class TestConfigFuzz:
             parse_config(with_value(field, value))
         except ConfigError:
             pass
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_edge_values_raise_no_runtime_warning():
+    # A numpy warning raised as an error escapes as one more exception: an
+    # entry near 1e300 must meet its config error without a warning first.
+    TestConfigFuzz().test_edge_values_in_every_field()
 
 
 # Whole-run fuzz: a well-formed document of every workflow, with huge and

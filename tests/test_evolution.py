@@ -8,6 +8,7 @@ from embedsim import (
     EmbeddedHamiltonian,
     EnlargedState,
     NumericalIntegrityError,
+    PauliString,
     PauliSum,
     PureState,
     dense_matrix,
@@ -20,8 +21,8 @@ from embedsim import (
     reality_residual,
     unembed_state,
 )
-from embedsim.evolution import METHODS
-from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL
+from embedsim.evolution import METHODS, PHASE_LIMIT
+from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL, _Kernel
 
 from conftest import random_pauli_sum, random_real_state, random_state
 
@@ -47,6 +48,25 @@ def test_overflowing_spectrum_or_phases_are_refused():
     with pytest.raises(NumericalIntegrityError):
         evolve_enlarged(EnlargedState(np.eye(8)[0]), embed_hamiltonian(huge), 1e10)
     assert np.isfinite(evolve(s, huge, 1e-300)).all()
+
+
+def test_phases_beyond_2_to_the_52_are_refused():
+    # The W state under 1e5 XYZ + 0.7 ZZI: at t = 1e300 one ulp of a phase
+    # is far beyond a radian, and at the bound it reaches one.
+    w = np.zeros(8, dtype=complex)
+    w[[1, 2, 4]] = 3**-0.5
+    h = PauliSum.from_terms([(1e5, "XYZ"), (0.7, "ZZI")])
+    norm = 1e5 + 0.7
+    below = np.nextafter(PHASE_LIMIT / norm, 0.0)
+    while below * norm >= PHASE_LIMIT:
+        below = np.nextafter(below, 0.0)
+    for method in METHODS:
+        for t in (1e300, -1e300, PHASE_LIMIT / norm * 2):
+            with pytest.raises(NumericalIntegrityError, match="2\\^52"):
+                evolve(w, h, t, method, 4)
+        out = evolve(w, h, below, method, 4)
+        assert np.isfinite(out).all()
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_time_identity(rng):
@@ -181,14 +201,7 @@ def test_real_trotter2_of_embedded_hamiltonian(rng):
         t, steps = float(rng.uniform(0.1, 2.0)), 5
         out = evolve_trotter(s, h, t, steps, order=2)
         assert out.dtype == np.float64
-        a = t / steps / 2
-        factors = [np.cos(c * a) * np.eye(16) - 1j * np.sin(c * a) * dense_matrix(p)
-                   for c, p in h.terms]
-        ref = s.astype(complex)
-        for _ in range(steps):
-            for f in factors + factors[::-1]:
-                ref = f @ ref
-        assert np.max(np.abs(out - ref)) <= 1e-14
+        assert np.max(np.abs(out - _unmerged_reference(s, h, t, steps, 2))) <= 1e-14
 
 
 def test_trotter_allocates_no_state_sized_temporaries():
@@ -209,6 +222,88 @@ def test_trotter_allocates_no_state_sized_temporaries():
         tracemalloc.stop()
     assert out.dtype == np.float64
     assert peak < 4 * s.nbytes
+
+
+def _unmerged_reference(s, h, t, steps, order):
+    """Every term applied as the dense cos(a) I - i sin(a) P, once per step
+    (order 1) or twice in the palindrome (order 2)."""
+    a = t / steps / order
+    eye = np.eye(s.size)
+    factors = [np.cos(c * a) * eye - 1j * np.sin(c * a) * dense_matrix(p) for c, p in h.terms]
+    ref = s.astype(complex)
+    for _ in range(steps):
+        for f in factors if order == 1 else factors + factors[::-1]:
+            ref = f @ ref
+    return ref
+
+
+def _chain(n, bond=0.4, field=0.3):
+    terms = [(bond, "I" * i + "XX" + "I" * (n - i - 2)) for i in range(n - 1)]
+    return PauliSum.from_terms(terms + [(field, "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)])
+
+
+def _anticommuting_neighbours(rng, n, num):
+    """A random sum in which every stored term anticommutes with the next."""
+    terms = []
+    while len(terms) < num:
+        p = "".join(rng.choice(list("IXYZ"), size=n))
+        if terms:
+            a, b = dense_matrix(PauliString(terms[-1][1])), dense_matrix(PauliString(p))
+            if not np.array_equal(a @ b, -(b @ a)):
+                continue
+        terms.append((float(rng.uniform(-1.0, 1.0)), p))
+    return PauliSum.from_terms(terms)
+
+
+@pytest.fixture
+def image_calls(monkeypatch):
+    """The kernel of every _Kernel.image call, in order."""
+    image, calls = _Kernel.image, []
+    monkeypatch.setattr(_Kernel, "image", lambda k, *a: calls.append(k) or image(k, *a))
+    return calls
+
+
+class TestMergedRuns:
+    """Trotter products over commuting runs, against the unmerged palindrome."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_embedded_chain_matches_the_unmerged_product(self, rng, steps, order):
+        h = embed_hamiltonian(_chain(5)).operator
+        assert [len(run) for run in h.commuting_runs] == [4, 5]
+        s = embed_state(random_state(rng, 5)).amplitudes
+        out = evolve_trotter(s, h, 0.9, steps, order)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - _unmerged_reference(s, h, 0.9, steps, order))) <= 1e-14
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_sums_without_commuting_neighbours(self, rng, steps, order):
+        for _ in range(5):
+            h = _anticommuting_neighbours(rng, 3, int(rng.integers(2, 7)))
+            assert len(h.commuting_runs) == h.num_terms
+            psi = random_state(rng, 3).amplitudes
+            t = float(rng.uniform(0.1, 2.0))
+            out = evolve_trotter(psi, h, t, steps, order)
+            assert np.max(np.abs(out - _unmerged_reference(psi, h, t, steps, order))) <= 1e-14
+
+    @pytest.mark.parametrize("order,passes", [(1, 108), (2, 121)])
+    def test_kernel_passes_on_the_27_term_chain(self, image_calls, order, passes):
+        h = embed_hamiltonian(_chain(14)).operator
+        s = np.zeros(1 << 15)
+        s[0] = 1.0
+        evolve_trotter(s, h, 0.2, 4, order)
+        assert len(image_calls) == passes
+
+    @pytest.mark.parametrize("steps", [1, 3, 1000])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_a_commuting_sum_applies_each_term_once(self, rng, image_calls, steps, order):
+        h = PauliSum.from_terms([(0.7, "ZZI"), (-0.3, "IZZ"), (0.5, "XXX"), (0.2, "YYX")])
+        assert len(h.commuting_runs) == 1
+        psi = random_state(rng, 3).amplitudes
+        out = evolve_trotter(psi, h, 1.3, steps, order)
+        assert len(image_calls) == h.num_terms
+        np.testing.assert_allclose(out, evolve_exact(psi, h, 1.3), atol=1e-14)
 
 
 def _enlarged_against_dense(h, psi, t):

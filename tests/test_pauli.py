@@ -218,6 +218,29 @@ class TestPauliSum:
         s = PauliSum.from_terms([(0.5, "XYZ"), (-1.25, "IIZ")])
         assert PauliSum.from_records(s.to_records()).terms == s.terms
 
+    def test_commuting_runs_of_the_chain(self):
+        n = 6
+        bonds = [(0.4, "I" * i + "XX" + "I" * (n - i - 2)) for i in range(n - 1)]
+        fields = [(0.3, "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
+        h = PauliSum.from_terms(bonds + fields)
+        assert h.commuting_runs == (h.terms[:n - 1], h.terms[n - 1:])
+        assert h.commuting_runs is h.commuting_runs
+        assert PauliSum(n=2, terms=()).commuting_runs == ()
+
+    def test_commuting_runs_are_maximal_and_commute(self, rng):
+        def commute(a, b):
+            da, db = dense_matrix(a), dense_matrix(b)
+            return np.array_equal(da @ db, db @ da)
+
+        for _ in range(40):
+            h = random_pauli_sum(rng, 3, max_terms=8)
+            runs = h.commuting_runs
+            assert tuple(t for run in runs for t in run) == h.terms
+            for run in runs:
+                assert all(commute(a, b) for (_, a), (_, b) in itertools.combinations(run, 2))
+            for run, (_, head) in zip(runs, (nxt[0] for nxt in runs[1:])):
+                assert not all(commute(p, head) for _, p in run)
+
 
 class TestApplyPauliSum:
     def test_z_eigenstate(self):
@@ -328,6 +351,15 @@ class TestStates:
             PureState.from_amplitudes([entry, 0.0])
         with pytest.raises(ValueError):
             MixedState(np.array([[1.0, entry], [entry, 0.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_range_are_rejected_without_a_warning(self):
+        big = np.array([1e300, 0.0, 0.0, 1.0])
+        for make in (PureState, PureState.from_amplitudes, embedsim.EnlargedState):
+            with pytest.raises(ValueError, match="inf"):
+                make(big)
+        with pytest.raises(ValueError, match="Hermitian"):
+            MixedState(np.array([[0.5, 1.7e308], [-1.7e308, 0.5]]))
 
     def test_mixed_state_from_ensemble(self, rng):
         psi = random_state(rng, 2)
