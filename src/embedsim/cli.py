@@ -52,12 +52,6 @@ MAX_ROOF_ITERATIONS = 10**5
 MAX_QUBITS = 24
 
 
-def bell_state() -> PureState:
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return PureState(v)
-
-
 def ghz_state(n: int = 3) -> PureState:
     v = np.zeros(1 << n, dtype=complex)
     v[0] = v[-1] = 1.0 / np.sqrt(2.0)
@@ -78,7 +72,7 @@ def product_state(n: int) -> PureState:
 
 
 STATE_PRESETS = {
-    "bell": lambda n=2: bell_state(),
+    "bell": lambda n=2: ghz_state(2),
     "ghz": ghz_state,
     "w": w_state,
     "product": product_state,

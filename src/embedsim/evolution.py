@@ -1,22 +1,24 @@
 """Unitary time evolution: exact eigendecomposition propagator and first /
 second order product-formula approximations (hbar = 1).
 
-The product formulas apply the maximal runs of consecutive commuting terms
-(`PauliSum.commuting_runs`) in stored order, and merge the runs that the
-second-order palindrome repeats back to back into one application at twice
-the angle: the merged product is the same operator, up to rounding.
+The product formulas follow one schedule: a step is the maximal runs of
+consecutive commuting terms (`PauliSum.commuting_runs`) in stored order, and
+at second order the same runs in reverse; the steps are chained, and a run
+repeated back to back is applied once at the summed angle. The merged
+product is the same operator, up to rounding. Every factor rotates one
+complex buffer in place.
 
-Enlarged-space trajectories stay structurally real. In the product-formula
-path each per-term exponential of an imaginary Hermitian Pauli term is a
-real rotation, applied in real arithmetic. The exact path evolves the
-component x - iy of [x; y] in the conserved Y_ancilla = +1 sector, an n-qubit
-problem, and rebuilds the real vector [Re a; -Im a] from the result a.
+Enlarged-space trajectories stay structurally real. Every embedded term
+conserves Y on the ancilla, so every method evolves the component x - iy of
+[x; y] in the Y_ancilla = +1 sector, an n-qubit problem, and rebuilds the
+real vector [Re a; -Im a] from the result a.
 `evolve` refuses phases that overflow, and a sum |c| * |t| of 2^52 or more,
 where the rounding of a phase alone is of order one radian.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -34,8 +36,9 @@ PHASE_LIMIT = 2.0**52
 def evolve_exact(s: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
     """exp(-iHt) @ s by projection onto the spectrum of H, which is
     diagonalised once per PauliSum and reused at every later time."""
+    s = _checked(s, h.n)
     evals, vecs = h.spectrum
-    coeffs = (np.asarray(s).conj() @ vecs).conj()
+    coeffs = (s.conj() @ vecs).conj()
     return vecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
@@ -44,49 +47,39 @@ def evolve_trotter(
 ) -> np.ndarray:
     """Product-formula propagation over the commuting runs of h.
 
-    Runs (`PauliSum.commuting_runs`) are applied in stored order, and each
-    run's terms in their stored order, so trajectories are reproducible.
-    Order 1 applies R1 ... Rm per step; order 2 the palindrome R1 ... Rm Rm
-    ... R1 per step, with each run that it repeats back to back merged into
-    one application at twice the angle: the middle Rm Rm, and the R1 that
-    ends a step with the R1 that starts the next. Exponentials of commuting
-    terms combine exactly, so the merged product is the unmerged operator up
-    to rounding, and a sum of one run is applied once at c*t for any steps.
-    Each factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s is written in place
-    into one state buffer through one scratch buffer. Both are real when s
-    is real and every -iP is, as for the odd-Y terms of an
-    EmbeddedHamiltonian.
+    One step applies the runs (`PauliSum.commuting_runs`) in stored order,
+    at order 2 followed by the same runs in reverse, and each run's terms in
+    stored order. The steps are chained, and a run repeated n times back to
+    back is applied once at the angle n * dt, dt = t / steps / order: its
+    terms commute, so this is the unmerged operator up to rounding. Each
+    factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s is written in place into
+    one complex buffer through one complex scratch buffer. A real s comes
+    back complex; its imaginary part is exactly zero when every -iP is real,
+    as for an EmbeddedHamiltonian.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     s, runs = _checked(s, h.n), h.commuting_runs
-    if len(runs) <= 1:
-        lead, body, repeats, tail = _factors(runs, t), [], 0, []
-    elif order == 1:
-        lead, body, repeats, tail = [], _factors(runs, t / steps), steps, []
-    else:
-        dt = t / steps / 2
-        first, *inner, last = runs
-        middle = _factors(inner, dt) + _factors([last], 2 * dt) + _factors(inner[::-1], dt)
-        edge = _factors([first], dt)
-        lead, tail = edge + middle, edge
-        body, repeats = _factors([first], 2 * dt) + middle, steps - 1
-    real = not np.iscomplexobj(s) and all(w.imag == 0 for _, w, _ in lead + body + tail)
-    out = np.array(s, dtype=float if real else complex)
+    ahead = list(range(len(runs)))
+    step = ahead + ahead[::-1] if order == 2 else ahead
+    dt = t / steps / order
+    factors = functools.cache(lambda i, n: _factors(runs[i], dt * n))
+    out = np.array(s, dtype=complex)
     scratch = np.empty_like(out)
-    for factors in itertools.chain([lead], itertools.repeat(body, repeats), [tail]):
-        for cos, w, k in factors:
+    schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
+    for i, repeats in itertools.groupby(schedule):
+        for cos, w, k in factors(i, sum(1 for _ in repeats)):
             k.image(out, w, scratch)
             out *= cos
             out += scratch
     return out
 
 
-def _factors(runs, a: float) -> list:
-    """(cos(ca), -i sin(ca) i^{#Y}, kernel) per term of the runs, in order."""
-    kernels = ((c, _kernel(p.symbols)) for run in runs for c, p in run)
+def _factors(run, a: float) -> list:
+    """(cos(ca), -i sin(ca) i^{#Y}, kernel) per term of the run, in order."""
+    kernels = ((c, _kernel(p.symbols)) for c, p in run)
     return [(np.cos(c * a), np.sin(c * a) * -1j * k.phase, k) for c, k in kernels]
 
 
@@ -122,18 +115,22 @@ def evolve_enlarged(
     method: str = "exact",
     steps: int = 1,
 ) -> EnlargedState:
-    """Evolve an enlarged real state.
+    """Evolve an enlarged real state by the named method.
 
-    Under "exact" the upper and lower halves x, y evolve as a = x - iy under
-    `h_tilde.sector`, diagonalised once per EmbeddedHamiltonian at 2^n, and
-    [Re a; -Im a] is real by construction; the register is still held to the
-    dense cap of the (n+1)-qubit operator. The product formulas rotate the
-    real vector under `h_tilde.operator`; EnlargedState rejects any imaginary
-    residue they grew and keeps the real part.
+    Every method evolves the halves x, y of the state as a = x - iy under
+    `h_tilde.sector`, an n-qubit problem, and returns [Re a; -Im a]. Under
+    "exact" the register is still held to the dense cap of the (n+1)-qubit
+    operator. Under the product formulas the result is bitwise [Re d; Im d],
+    d the direct result under the Hamiltonian that h_tilde embeds.
     """
-    if method != "exact":
-        return EnlargedState(evolve(state.amplitudes, h_tilde.operator, t, method, steps))
-    _check_dense(h_tilde.n)
-    x, y = np.split(state.amplitudes, 2)
-    a = evolve(x - 1j * y, h_tilde.sector, t)
-    return EnlargedState(np.concatenate([a.real, -a.imag]))
+    amplitudes = _checked(state.amplitudes, h_tilde.n)
+    if method == "exact":
+        _check_dense(h_tilde.n)
+    x, y = np.split(amplitudes, 2)
+    a = np.empty(x.size, complex)
+    a.real = x
+    np.negative(y, out=a.imag)
+    a = evolve(a, h_tilde.sector, t, method, steps)
+    out = np.concatenate([a.real, a.imag])
+    out[x.size:] *= -1
+    return EnlargedState(out)

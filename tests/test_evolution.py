@@ -5,6 +5,7 @@ import pytest
 
 from embedsim import (
     CapacityError,
+    DimensionError,
     EmbeddedHamiltonian,
     EnlargedState,
     NumericalIntegrityError,
@@ -172,7 +173,7 @@ def test_trotter_keeps_enlarged_states_real(rng):
         h = embed_hamiltonian(random_pauli_sum(rng, 2))
         s = random_real_state(rng, 3)
         out = evolve_trotter(s, h.operator, 1.0, 64, 1)
-        assert reality_residual(out) < 1e-12
+        assert reality_residual(out) == 0.0
 
 
 def test_unitarity_all_methods(rng):
@@ -196,32 +197,79 @@ def test_composition(rng):
 def test_real_trotter2_of_embedded_hamiltonian(rng):
     # Reference: each factor as the dense cos(a) I - i sin(a) P, palindromic.
     for _ in range(5):
-        h = embed_hamiltonian(random_pauli_sum(rng, 3, max_terms=6)).operator
-        s = embed_state(random_state(rng, 3)).amplitudes
+        h_tilde = embed_hamiltonian(random_pauli_sum(rng, 3, max_terms=6))
+        s = embed_state(random_state(rng, 3))
         t, steps = float(rng.uniform(0.1, 2.0)), 5
-        out = evolve_trotter(s, h, t, steps, order=2)
+        out = evolve_enlarged(s, h_tilde, t, "trotter2", steps).amplitudes
         assert out.dtype == np.float64
-        assert np.max(np.abs(out - _unmerged_reference(s, h, t, steps, 2))) <= 1e-14
+        ref = _unmerged_reference(s.amplitudes, h_tilde.operator, t, steps, 2)
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+
+def test_enlarged_trotter_is_bitwise_the_direct_result(rng):
+    # [Re a; -Im a] of the sector evolution of a = x - iy is [Re d; Im d].
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        h, psi = random_pauli_sum(rng, n, max_terms=6), random_state(rng, n)
+        t = float(rng.uniform(-2.0, 2.0))
+        for order in (1, 2):
+            for steps in (1, 2, 5):
+                d = evolve_trotter(psi.amplitudes, h, t, steps, order)
+                out = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), t,
+                                      f"trotter{order}", steps)
+                assert np.array_equal(out.amplitudes, np.concatenate([d.real, d.imag]))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_wrong_length_state_is_a_dimension_error(method):
+    h = PauliSum.from_terms([(0.5, "XY"), (0.3, "ZI")])
+    s = np.ones(8) / 8**0.5
+    with pytest.raises(DimensionError, match=r"\(8,\), expected \(4,\)"):
+        evolve(s, h, 0.1, method, 2)
+    with pytest.raises(DimensionError, match=r"\(8,\), expected \(4,\)"):
+        if method == "exact":
+            evolve_exact(s, h, 0.1)
+        else:
+            evolve_trotter(s, h, 0.1, 2, int(method[-1]))
+    with pytest.raises(DimensionError, match=r"\(16,\), expected \(8,\)"):
+        evolve_enlarged(EnlargedState(np.ones(16) / 4), embed_hamiltonian(h), 0.1, method, 2)
+
+
+def _enlarged_chain(n=14):
+    """The GHZ state and the 27-term XX+Z chain of 14 qubits, embedded."""
+    ghz = np.zeros(1 << n, dtype=complex)
+    ghz[0] = ghz[-1] = 2**-0.5
+    return embed_state(PureState(ghz)), embed_hamiltonian(_chain(n))
+
+
+def _peak_bytes(f):
+    """Peak bytes that tracemalloc sees allocated while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_trotter_allocates_no_state_sized_temporaries():
-    # The 27-term chain of 14 qubits on its 2^15 real enlarged amplitudes.
-    n = 14
-    chain = [(0.4, "I" * i + "XX" + "I" * (n - i - 2)) for i in range(n - 1)]
-    chain += [(0.3, "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
-    h = embed_hamiltonian(PauliSum.from_terms(chain)).operator
-    ghz = np.zeros(1 << n, dtype=complex)
-    ghz[0] = ghz[-1] = 2**-0.5
-    s = embed_state(PureState(ghz)).amplitudes
+    # The sector of the 27-term chain on the complex start x - iy of its 2^15
+    # real enlarged amplitudes: 2^14 complex, the same bytes.
+    state, h_tilde = _enlarged_chain()
+    x, y = np.split(state.amplitudes, 2)
+    s, h = x - 1j * y, h_tilde.sector
     evolve_trotter(s, h, 0.2, 1, 2)  # builds the per-string kernels, which are kept
-    tracemalloc.start()
-    try:
-        out = evolve_trotter(s, h, 0.2, 4, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.dtype == np.float64
-    assert peak < 4 * s.nbytes
+    assert _peak_bytes(lambda: evolve_trotter(s, h, 0.2, 4, 2)) < 4 * s.nbytes
+
+
+def test_enlarged_trotter_allocates_three_state_sized_arrays():
+    # The start x - iy, the Trotter buffer and its scratch; besides them only
+    # the two fixed-size ufunc buffers of a flipped complex kernel pass.
+    state, h_tilde = _enlarged_chain()
+    evolve_enlarged(state, h_tilde, 0.2, "trotter2", 1)
+    peak = _peak_bytes(lambda: evolve_enlarged(state, h_tilde, 0.2, "trotter2", 4))
+    size = state.amplitudes.nbytes
+    assert peak < 3 * size + 2 * np.getbufsize() * 16 + size / 16
 
 
 def _unmerged_reference(s, h, t, steps, order):
@@ -269,12 +317,13 @@ class TestMergedRuns:
     @pytest.mark.parametrize("steps", [1, 2, 4])
     @pytest.mark.parametrize("order", [1, 2])
     def test_embedded_chain_matches_the_unmerged_product(self, rng, steps, order):
-        h = embed_hamiltonian(_chain(5)).operator
-        assert [len(run) for run in h.commuting_runs] == [4, 5]
-        s = embed_state(random_state(rng, 5)).amplitudes
-        out = evolve_trotter(s, h, 0.9, steps, order)
+        h_tilde = embed_hamiltonian(_chain(5))
+        assert [len(run) for run in h_tilde.operator.commuting_runs] == [4, 5]
+        s = embed_state(random_state(rng, 5))
+        out = evolve_enlarged(s, h_tilde, 0.9, f"trotter{order}", steps).amplitudes
         assert out.dtype == np.float64
-        assert np.max(np.abs(out - _unmerged_reference(s, h, 0.9, steps, order))) <= 1e-14
+        ref = _unmerged_reference(s.amplitudes, h_tilde.operator, 0.9, steps, order)
+        assert np.max(np.abs(out - ref)) <= 1e-14
 
     @pytest.mark.parametrize("steps", [1, 2, 4])
     @pytest.mark.parametrize("order", [1, 2])
@@ -295,7 +344,7 @@ class TestMergedRuns:
         evolve_trotter(s, h, 0.2, 4, order)
         assert len(image_calls) == passes
 
-    @pytest.mark.parametrize("steps", [1, 3, 1000])
+    @pytest.mark.parametrize("steps", [1, 3, 1000, 10**6])
     @pytest.mark.parametrize("order", [1, 2])
     def test_a_commuting_sum_applies_each_term_once(self, rng, image_calls, steps, order):
         h = PauliSum.from_terms([(0.7, "ZZI"), (-0.3, "IZZ"), (0.5, "XXX"), (0.2, "YYX")])
