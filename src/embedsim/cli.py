@@ -50,6 +50,8 @@ MAX_ROOF_ITERATIONS = 10**5
 # amplitudes, and larger counts would allocate past memory or emit a
 # tomography baseline too long to print.
 MAX_QUBITS = 24
+# Cap on a spec's contractions: k expand to 3^k terms; the presets use at most 2.
+MAX_SPEC_DEGREE = 8
 
 
 def ghz_state(n: int = 3) -> PureState:
@@ -188,7 +190,10 @@ def _parse_monotone(raw, n_qubits: int | None) -> MonotoneSpec:
             _integer(raw.get("n_qubits"), "monotone.n_qubits", 1, MAX_QUBITS)
             for slot in (s for factor in raw["factors"] for s in factor if isinstance(s, dict)):
                 _integer(slot.get("idx"), "monotone.factors.idx", -np.inf, np.inf)
-            for label in (label for pair in raw["contractions"] for label in pair):
+            pairs = raw["contractions"]
+            if len(pairs) > MAX_SPEC_DEGREE:
+                _fail("monotone.contractions", f"at most {MAX_SPEC_DEGREE} pairs, got {len(pairs)}")
+            for label in (label for pair in pairs for label in pair):
                 _integer(label, "monotone.contractions", -np.inf, np.inf)
             return MonotoneSpec.from_json(raw)
     _fail("monotone", "expected a preset name or a spec object")

@@ -2,14 +2,16 @@
 
 The outer minimization runs over pure-state decompositions parameterized by
 isometries acting on the spectral ensemble; the inner loop evaluates each
-member's monotone through the embedded path. A derivative-free coordinate
-search (quadratic fit per coordinate, shrinking step) drives the descent.
-Its restarts descend in lockstep: the objective takes a batch of parameter
-rows, and one call evaluates the probes of every live restart at each sweep
-position. Without shots the result is always an upper bound: every
-decomposition is feasible. Under `RoofConfig.shots` each member samples on
-fixed streams at every objective call, so `value` is the minimum of one
-noise realisation, an in-sample estimate that can fall below the roof.
+member's monotone from its embedded pairs, read on its own 2^N vector. A
+derivative-free coordinate search (quadratic fit per coordinate, shrinking
+step) drives the descent. Its restarts descend in lockstep: the objective
+takes a batch of parameter rows, and one call evaluates the probes of every
+live restart at each sweep position. The objective is >= 0, so a restart
+ending below 1e-12 ends the search; the least final value wins. Without
+shots the result is always an upper bound: every decomposition is feasible.
+Under `RoofConfig.shots` each member samples on fixed streams at every
+objective call, so `value` is the minimum of one noise realisation, an
+in-sample estimate that can fall below the roof.
 """
 
 from __future__ import annotations
@@ -136,17 +138,17 @@ def _ensemble_value(
 ) -> np.ndarray:
     """sum_j p_j E(phi_j) for each ensemble of the batch (probs (b, k),
     states (b, k, dim)) over its members above PROB_FLOOR, each evaluated
-    via the embedded path; with shots, member j samples its exact
-    (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
+    from its embedded pairs on its own state; with shots, member j samples
+    its exact (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
     nz = probs > PROB_FLOOR
-    b, k, _ = states.shape
-    tilde = np.concatenate([states.real, states.imag], axis=-1).reshape(b * k, -1)
+    b, k, dim = states.shape
+    rows = states.reshape(b * k, dim)
     if shots is None:
-        values = evaluator.values_batch(tilde).reshape(b, k, 1)
+        values = evaluator.values_batch(rows).reshape(b, k, 1)
         # a matmul per row keeps the member sum a BLAS dot product; a plain
         # sum over the row rounds differently in the last bit
         return (np.where(nz, probs, 0.0)[:, None, :] @ values)[:, 0, 0]
-    ex = evaluator.antilinear_batch(tilde)
+    ex = evaluator.antilinear_batch(rows)
     pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(b, k, -1)
     totals = np.zeros(b)
     for i, j in zip(*np.nonzero(nz)):
@@ -185,9 +187,9 @@ def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
     (b, n) in lockstep. f maps a batch of points (m, n) to their values
     (m,); one call takes the +h and -h probes of every live row, one the
     quadratic-fit points, one the pattern trials. Each row descends exactly
-    as it would alone, except that a row ending below 1e-12 stops every
-    later row. Returns per row (x, fx, per-iteration best history,
-    converged, iterations used)."""
+    as it would alone until one ends an iteration below 1e-12 (f >= 0): that
+    ends the search, and rows not yet done report converged=False. Returns
+    per row (x, fx, per-iteration best history, converged, iterations used)."""
     x = np.array(x0, dtype=float)
     fx = f(x)
     histories = [[float(v)] for v in fx]
@@ -244,15 +246,13 @@ def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
         for row, value in zip(live, fs):
             histories[row].append(float(value))
         zero = fs < 1e-12
-        stalled = ~zero & (f_before - fs < tolerance)
+        stalled = f_before - fs < tolerance
         hs[stalled] *= 0.5
         done = zero | (stalled & (hs < tolerance))
         x[live], fx[live], h[live], converged[live] = xs, fs, hs, done
-        # a row ending below 1e-12 ends every later restart
-        keep = ~done
         if zero.any():
-            keep &= live < live[zero][0]
-        live = live[keep]
+            break
+        live = live[~done]
     return x, fx, histories, converged, iterations
 
 
@@ -263,7 +263,8 @@ def convex_roof_estimate(
     `cfg.shots`, an in-sample minimum that can fall below the roof.
 
     The decomposition size is k = rank + extra_terms, capped at 4^N (no
-    optimal decomposition needs more members than rank^2 <= 4^N).
+    optimal decomposition needs more members than rank^2 <= 4^N). The
+    restart with the least final value wins.
     """
     scaled = _spectral(rho)
     r = scaled.shape[1]
@@ -283,14 +284,7 @@ def convex_roof_estimate(
     x, fx, histories, converged, iterations = _coordinate_descent(
         objective, x0, cfg.max_iterations, cfg.tolerance
     )
-    # pick as if the restarts ran one after another: the first least value
-    # wins, and none after the first to end below 1e-12 runs
-    best = 0
-    for i in range(cfg.restarts):
-        best = i if fx[i] < fx[best] else best
-        if fx[i] < 1e-12:
-            break
-
+    best = int(np.argmin(fx))
     decomposition = decomposition_from_isometry(rho, _isometry_from_params(x[best:best + 1], upper, r)[0])
     return RoofResult(
         value=float(fx[best]),

@@ -209,25 +209,22 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
 
 
 class EmbeddedEvaluator:
-    """Precompiled embedded-path evaluator for tight inner loops: dense
-    observable pairs are materialized once and reused on many states."""
+    """Precompiled embedded-path evaluator for tight inner loops: one dense
+    N-qubit form O per distinct label, reused on many states phi = x + iy, as
+    <Z(x)O> - i <X(x)O> on [x; y] is (x - iy)^T O (x - iy) = <phi|O|phi*>."""
 
     def __init__(self, spec: MonotoneSpec):
         self.spec = spec
-        # Z(x)O - i X(x)O collapsed into one complex quadratic form per label;
-        # valid because the evaluator only sees real enlarged vectors.
-        obs = expand_to_observables(spec)
-        self._combined = np.stack(
-            [oz.dense() - 1j * ox.dense() for oz, ox in zip(obs[0::2], obs[1::2])]
-        )
+        self._forms = np.stack([o.dense() for o in _expansion(spec).sums])
 
-    def antilinear_batch(self, tilde_vecs: np.ndarray) -> np.ndarray:
-        """<Z(x)O> - i <X(x)O>, shape (rows, labels), on the rows of tilde_vecs."""
-        return ((tilde_vecs @ self._combined) * tilde_vecs).sum(axis=-1).T
+    def antilinear_batch(self, vecs: np.ndarray) -> np.ndarray:
+        """<phi|O|phi*>, shape (rows, labels), on the simulated-space rows of vecs."""
+        a = vecs.conj()
+        return ((a @ self._forms) * a).sum(axis=-1).T
 
-    def values_batch(self, tilde_vecs: np.ndarray) -> np.ndarray:
-        """Evaluate many enlarged vectors at once (rows of tilde_vecs)."""
-        return contract(self.spec, self.antilinear_batch(tilde_vecs))
+    def values_batch(self, vecs: np.ndarray) -> np.ndarray:
+        """Evaluate many simulated-space states at once (rows of vecs)."""
+        return contract(self.spec, self.antilinear_batch(vecs))
 
 
 # Preset specs ---------------------------------------------------------------

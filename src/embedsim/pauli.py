@@ -312,7 +312,8 @@ class PureState:
 
 
 def _ensemble_matrix(members: Sequence[tuple[float, PureState]]) -> np.ndarray:
-    """sum_i p_i |psi_i><psi_i| of a nonempty ensemble."""
+    """sum_i p_i |psi_i><psi_i| of a nonempty ensemble within DENSE_QUBIT_CAP."""
+    _check_dense(members[0][1].n)
     dim = members[0][1].amplitudes.size
     mat = np.zeros((dim, dim), dtype=complex)
     for p, psi in members:
@@ -331,7 +332,7 @@ class MixedState:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"density matrix must be square, got {mat.shape}")
-        _qubit_count(mat.shape[0], "density matrix")
+        _check_dense(_qubit_count(mat.shape[0], "density matrix"))
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         with np.errstate(over="ignore"):  # entries near the float range fail as inf
@@ -346,8 +347,7 @@ class MixedState:
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "MixedState":
-        v = psi.amplitudes
-        return cls(np.outer(v, v.conj()))
+        return cls(_ensemble_matrix([(1.0, psi)]))
 
     @classmethod
     def from_ensemble(

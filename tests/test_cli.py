@@ -22,6 +22,7 @@ from embedsim.cli import (
     MAX_QUBITS,
     MAX_ROOF_ITERATIONS,
     MAX_ROOF_RESTARTS,
+    MAX_SPEC_DEGREE,
     METHODS,
     WORKFLOWS,
     _render,
@@ -511,6 +512,13 @@ SPEC_OBJECT = {"name": "c", "n_qubits": 2, "factors": [["Y", {"idx": 0}], ["Y", 
                "contractions": [[0, 1]]}
 
 
+def chained_spec(k):
+    """Two k-slot factors tied slot by slot: k contractions, 3^k expansion terms."""
+    return {"name": "chained", "n_qubits": k,
+            "factors": [[{"idx": i} for i in range(k)], [{"idx": k + i} for i in range(k)]],
+            "contractions": [[i, k + i] for i in range(k)]}
+
+
 class TestLoopCountCaps:
     @pytest.mark.parametrize("payload,field", [
         ({**WORKED_EXAMPLE_EVOLVE, "evolution": {"method": "trotter1", "steps": 10**12}},
@@ -523,7 +531,16 @@ class TestLoopCountCaps:
         ({"workflow": "count", "monotone": "n_qubit", "n_qubits": 10**7}, "'n_qubits'"),
         ({"workflow": "count", "monotone": {**SPEC_OBJECT, "n_qubits": MAX_QUBITS + 1}},
          "'monotone.n_qubits'"),
-    ], ids=["steps", "restarts", "max_iterations", "state-qubits", "count-qubits", "spec-qubits"])
+        ({"workflow": "count", "monotone": chained_spec(MAX_SPEC_DEGREE + 1)},
+         "'monotone.contractions'"),
+        # found by a whole-run check: the roof built the 4^N density matrix
+        # first, and at 24 qubits numpy's allocation error escaped
+        ({"workflow": "roof", "initial_state": "ghz", "n_qubits": 14, "monotone": "n_qubit"},
+         "capped"),
+        ({"workflow": "roof", "initial_state": "ghz", "n_qubits": MAX_QUBITS,
+          "monotone": "n_qubit"}, "capped"),
+    ], ids=["steps", "restarts", "max_iterations", "state-qubits", "count-qubits", "spec-qubits",
+            "spec-degree", "roof-qubits-14", "roof-qubits-max"])
     def test_count_beyond_its_cap_exits_2(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
@@ -541,6 +558,12 @@ class TestLoopCountCaps:
         assert config.roof.max_iterations == MAX_ROOF_ITERATIONS
         count = parse_config({"workflow": "count", "monotone": "n_qubit", "n_qubits": MAX_QUBITS})
         assert count.monotone.n_qubits == MAX_QUBITS
+
+    def test_spec_at_its_degree_cap_counts(self, tmp_path):
+        proc = run_cli(tmp_path, {"workflow": "count", "monotone": chained_spec(MAX_SPEC_DEGREE)})
+        assert proc.returncode == 0, proc.stderr
+        # both factors run over the same 3^8 labels, each measured as a pair
+        assert json.loads(proc.stdout)[0]["n_observables"] == 2 * 3**MAX_SPEC_DEGREE
 
 
 class TestIntegerFields:

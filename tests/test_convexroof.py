@@ -274,18 +274,21 @@ class TestCoordinateDescent:
             assert together[2][i] == alone[2][0]
             assert (together[3][i], together[4][i]) == (alone[3][0], alone[4][0])
 
-    def test_a_row_ending_below_1e_12_stops_every_later_row(self):
+    def test_a_row_ending_below_1e_12_stops_every_row(self):
         # a quartic bowl, so that no row lands on the minimum in one sweep
         f = lambda x: np.sum((x - 1.0) ** 2 + 0.1 * (x - 1.0) ** 4, axis=1)
         x0 = np.array([[3.7, -2.2], [1.0, 1.0], [-1.3, 4.1]])
         x, fx, history, converged, iterations = _coordinate_descent(f, x0, 200, 1e-8)
-        assert (fx[1], converged[1], iterations[1]) == (0.0, True, 1)
-        assert (converged[2], iterations[2], len(history[2])) == (False, 1, 2)
-        assert _coordinate_descent(f, x0[2:], 200, 1e-8)[4][0] > 1
-        # the earlier row runs on, exactly as it would alone
-        alone = _coordinate_descent(f, x0[:1], 200, 1e-8)
-        assert history[0] == alone[2][0]
-        assert iterations[0] == alone[4][0] > 1
+        assert (fx[1], converged[1]) == (0.0, True)
+        # every row stops at the iteration where row 1 reaches 0, undone ones unconverged
+        assert iterations.tolist() == [1, 1, 1]
+        assert [len(h) for h in history] == [2, 2, 2]
+        assert not converged[0] and not converged[2]
+        for row in (0, 2):
+            alone = _coordinate_descent(f, x0[row:row + 1], 200, 1e-8)
+            assert alone[4][0] > 1
+            # up to the stop, the row descends exactly as it would alone
+            assert history[row] == alone[2][0][:len(history[row])]
 
     @pytest.mark.parametrize("shots", [None, ShotPlan(300, 9)], ids=["exact", "shots"])
     def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, shots):

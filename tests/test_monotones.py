@@ -338,11 +338,19 @@ PRESET_SPECS = [
 ]
 
 
+# An odd number of Ys makes O antisymmetric, so <phi|O|phi*> = 0 on every state.
+ODD_Y_SPECS = [
+    MonotoneSpec("odd_y", 3, (("Y", "Z", "I"),)),
+    MonotoneSpec("odd_y_contracted", 2, ((0, "Y"), (1, "Y")), ((0, 1),)),
+]
+
+
 class TestContraction:
-    @pytest.mark.parametrize("spec", PRESET_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", PRESET_SPECS + ODD_Y_SPECS, ids=lambda s: s.name)
     def test_values_batch_rows_match_embedded_path(self, spec, rng):
+        # simulated-space rows: the evaluator reads <phi|O|phi*> on phi itself
         states = [random_state(rng, spec.n_qubits) for _ in range(5)]
-        rows = np.array([embed_state(psi).amplitudes for psi in states])
+        rows = np.array([psi.amplitudes for psi in states])
         batch = EmbeddedEvaluator(spec).values_batch(rows)
         assert batch.shape == (5,)
         for value, psi in zip(batch, states):

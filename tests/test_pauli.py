@@ -366,3 +366,17 @@ class TestStates:
         phi = random_state(rng, 2)
         rho = MixedState.from_ensemble([(0.25, psi), (0.75, phi)])
         assert np.trace(rho.matrix).real == pytest.approx(1.0)
+
+    def test_mixed_state_beyond_the_dense_cap_is_refused_before_allocating(self, monkeypatch):
+        v = np.zeros(1 << 14, dtype=complex)
+        v[0] = 1.0
+        psi = PureState(v)
+
+        def no_outer(*args, **kwargs):
+            pytest.fail("a 4^N matrix was built before the cap was checked")
+
+        monkeypatch.setattr(np, "outer", no_outer)
+        with pytest.raises(CapacityError, match="capped"):
+            MixedState.from_pure(psi)
+        with pytest.raises(CapacityError, match="capped"):
+            MixedState.from_ensemble([(1.0, psi)])
