@@ -174,7 +174,7 @@ def _parse_state(raw, n_qubits: int | None) -> PureState:
     if isinstance(raw, list):
         with _field("initial_state"):
             amplitudes = [_amplitude(a, f"initial_state[{i}]") for i, a in enumerate(raw)]
-            return PureState.from_amplitudes(amplitudes, atol=1e-8)
+            return PureState.from_amplitudes(amplitudes)
     _fail("initial_state", "expected a preset name or an amplitude list")
 
 
@@ -357,8 +357,8 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             psi_t = psi0
             tilde_t = embed_state(psi0)
         else:
-            # The enlarged space is the larger one: evolve it first, so that
-            # a dense cap is hit before any work on the direct path.
+            # Both paths diagonalise the same 2^N problem under "exact"; the
+            # enlarged one goes first, so a dense cap names evolution.method.
             try:
                 tilde_t = evolve_enlarged(
                     embed_state(psi0), h_tilde, t,
@@ -369,7 +369,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             psi_t = PureState.from_amplitudes(evolve(
                 psi0.amplitudes, config.hamiltonian, t,
                 config.evolution_method, config.evolution_steps,
-            ), atol=1e-8)
+            ))
         direct = evaluate_monotone(psi_t, spec, path="direct").value
         # The embedded value is the exact-expectation limit of the sampled one.
         per_observable = [expectation(tilde_t, o) for o in observables]

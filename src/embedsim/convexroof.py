@@ -52,8 +52,8 @@ class Decomposition:
     def density_matrix(self) -> np.ndarray:
         return _ensemble_matrix(self.members)
 
-    def reconstructs(self, rho: MixedState, atol: float = RECONSTRUCTION_ATOL) -> bool:
-        return bool(np.linalg.norm(self.density_matrix() - rho.matrix) <= atol)
+    def reconstructs(self, rho: MixedState) -> bool:
+        return bool(np.linalg.norm(self.density_matrix() - rho.matrix) <= RECONSTRUCTION_ATOL)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _isometry_from_params(x: np.ndarray, upper: tuple, r: int) -> np.ndarray:
     return u[:, :, :r]
 
 
-def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
+def _coordinate_descent(f, x0, max_iterations, tolerance):
     """Coordinate-wise quadratic fit with shrinking step, plus a pattern
     (accelerated) move after each productive sweep, for every row of x0
     (b, n) in lockstep. f maps a batch of points (m, n) to their values
@@ -193,7 +193,7 @@ def _coordinate_descent(f, x0, max_iterations, tolerance, init_step=0.25):
     x = np.array(x0, dtype=float)
     fx = f(x)
     histories = [[float(v)] for v in fx]
-    h = np.full(len(x), init_step)
+    h = np.full(len(x), 0.25)  # each row's initial step
     converged = np.zeros(len(x), dtype=bool)
     iterations = np.zeros(len(x), dtype=int)
     live = np.arange(len(x))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .embedding import EmbeddedHamiltonian, EnlargedState
 from .errors import NumericalIntegrityError
-from .pauli import PauliSum, _check_dense, _checked, _kernel
+from .pauli import NORM_ATOL, PauliSum, _checked, _kernel, _norm
 
 METHODS = ("exact", "trotter1", "trotter2")
 # sum |c| * |t| at which one ulp of a phase lambda*t reaches order one radian
@@ -71,7 +71,7 @@ def evolve_trotter(
     schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
     for i, repeats in itertools.groupby(schedule):
         for cos, w, k in factors(i, sum(1 for _ in repeats)):
-            k.image(out, w, scratch)
+            np.multiply(k.image(out, scratch), w, out=scratch)
             out *= cos
             out += scratch
     return out
@@ -118,14 +118,13 @@ def evolve_enlarged(
     """Evolve an enlarged real state by the named method.
 
     Every method evolves the halves x, y of the state as a = x - iy under
-    `h_tilde.sector`, an n-qubit problem, and returns [Re a; -Im a]. Under
-    "exact" the register is still held to the dense cap of the (n+1)-qubit
-    operator. Under the product formulas the result is bitwise [Re d; Im d],
-    d the direct result under the Hamiltonian that h_tilde embeds.
+    `h_tilde.sector`, an n-qubit problem held to the dense cap of n qubits
+    under "exact", and returns [Re a; -Im a]. Under the product formulas the
+    result is bitwise [Re d; Im d], d the direct result under the Hamiltonian
+    that h_tilde embeds. A result whose norm has drifted from 1 by more than
+    NORM_ATOL raises NumericalIntegrityError: it is not renormalised.
     """
     amplitudes = _checked(state.amplitudes, h_tilde.n)
-    if method == "exact":
-        _check_dense(h_tilde.n)
     x, y = np.split(amplitudes, 2)
     a = np.empty(x.size, complex)
     a.real = x
@@ -133,4 +132,10 @@ def evolve_enlarged(
     a = evolve(a, h_tilde.sector, t, method, steps)
     out = np.concatenate([a.real, a.imag])
     out[x.size:] *= -1
+    drift = abs(_norm(out) - 1.0)
+    if not drift <= NORM_ATOL:
+        raise NumericalIntegrityError(
+            f"{method} evolution drifted the enlarged norm by {drift:.3e} at t={t}, "
+            f"beyond {NORM_ATOL}"
+        )
     return EnlargedState(out)

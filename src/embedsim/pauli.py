@@ -83,12 +83,12 @@ class _Kernel(NamedTuple):
     signs: np.ndarray
     phase: complex
 
-    def image(self, s: np.ndarray, weight: complex, out: np.ndarray) -> np.ndarray:
-        """out = weight * signs * flip(s), in place. A real `out` takes the
-        real part of the weight, which its caller has made real."""
+    def image(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = signs * flip(s), in place: P s up to its phase. Callers scale
+        the image, or the scalar they read from it."""
         shape = self.signs.shape
         np.multiply(self.signs, s.reshape(shape)[self.axes], out=out.reshape(shape))
-        return np.multiply(out, weight.real if out.dtype.kind == "f" else weight, out=out)
+        return out
 
 
 def _kernel(symbols: str) -> _Kernel:
@@ -122,13 +122,6 @@ def _checked(s, n: int) -> np.ndarray:
     if s.shape != (1 << n,):
         raise DimensionError(f"state has shape {s.shape}, expected ({1 << n},)")
     return s
-
-
-def _apply_string(p: PauliString, s: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """weight * P @ s, matrix-free; real when s and weight * i^{#Y} are."""
-    s, k = _checked(s, p.n), _kernel(p.symbols)
-    w = weight * k.phase
-    return k.image(s, w, np.empty(s.size, complex if w.imag or np.iscomplexobj(s) else float))
 
 
 def _check_dense(n: int) -> None:
@@ -234,28 +227,27 @@ class PauliSum:
 
 
 def apply_pauli_sum(h: PauliSum, s: np.ndarray) -> np.ndarray:
-    """H @ s without materializing H; real when s is real and every term
-    has even Y parity."""
+    """H @ s without materializing H, as complex128: each term's image is
+    scaled by c * i^{#Y} in one scratch buffer and added into the result."""
     s = _checked(s, h.n)
-    images = (_apply_string(string, s, coeff) for coeff, string in h.terms)
-    out = next(images, None)
-    for image in images:
-        out = out + image
-    return np.zeros(s.size, np.result_type(s, 1.0)) if out is None else out
+    out, scratch = np.zeros(s.size, complex), np.empty(s.size, complex)
+    for coeff, string in h.terms:
+        k = _kernel(string.symbols)
+        out += np.multiply(k.image(s, scratch), coeff * k.phase, out=scratch)
+    return out
 
 
 def expectation(s, o: PauliSum) -> float:
-    """<s|O|s> for Hermitian O. On a real s only the even-Y terms are
-    applied, in real arithmetic: an odd-Y term is iA with A real
-    antisymmetric, and s.(iA)s = 0. On a complex s the imaginary residue is
-    asserted tiny relative to sum |c| (at least 1), and discarded."""
+    """<s|O|s> for Hermitian O: c * i^{#Y} * <s|signs*flip(s)> per term, read
+    through one scratch buffer of the state's own dtype. On a real s an odd-Y
+    term adds exactly 0 to the real part. The imaginary residue is asserted
+    tiny relative to sum |c| (at least 1), and discarded."""
     vec = _checked(s.amplitudes if hasattr(s, "amplitudes") else s, o.n)
-    if not np.iscomplexobj(vec):
-        even = tuple(t for t in o.terms if y_parity(t[1]) == "even")
-        if len(even) < o.num_terms:
-            o = PauliSum(o.n, even)
-        return float(np.dot(vec, apply_pauli_sum(o, vec)))
-    val = np.vdot(vec, apply_pauli_sum(o, vec))
+    scratch = np.empty(vec.size, np.result_type(vec, 1.0))
+    val = 0j
+    for coeff, string in o.terms:
+        k = _kernel(string.symbols)
+        val += coeff * k.phase * np.vdot(vec, k.image(vec, scratch))
     scale = max(1.0, sum(abs(c) for c, _ in o.terms))
     if abs(val.imag) >= HERMITICITY_ATOL * scale:
         raise ValueError(
@@ -298,12 +290,12 @@ class PureState:
         object.__setattr__(self, "amplitudes", _freeze(arr.copy()))
 
     @classmethod
-    def from_amplitudes(cls, amplitudes, atol: float = 1e-8) -> "PureState":
-        """Renormalize a nearly normalized vector (tolerance atol)."""
+    def from_amplitudes(cls, amplitudes) -> "PureState":
+        """Renormalize a vector whose norm is within 1e-8 of 1."""
         arr = np.asarray(amplitudes, dtype=complex)
         norm = _norm(arr)
-        if not abs(norm - 1.0) <= atol:
-            raise ValueError(f"amplitudes have norm {norm}, outside tolerance {atol}")
+        if not abs(norm - 1.0) <= 1e-8:
+            raise ValueError(f"amplitudes have norm {norm}, outside tolerance 1e-8")
         return cls(arr / norm)
 
     @property

@@ -192,15 +192,14 @@ class TestRun:
             "shots": {"shots": 1000, "seed": 5},
         })
         applied = {}
-        original = embedsim.pauli.apply_pauli_sum
+        original = embedsim.pauli._kernel
 
-        def counting(h, s):
-            if h.n == 4:
-                label = h.terms[0][1].symbols
-                applied[label] = applied.get(label, 0) + 1
-            return original(h, s)
+        def counting(symbols):
+            if len(symbols) == 4:  # a kernel lookup on the enlarged register
+                applied[symbols] = applied.get(symbols, 0) + 1
+            return original(symbols)
 
-        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum", counting)
+        monkeypatch.setattr(embedsim.pauli, "_kernel", counting)
         (record,) = run(config)
         labels = [o.terms[0][1].symbols for o in expand_to_observables(config.monotone)]
         assert applied == {label: 1 for label in labels}
@@ -306,8 +305,8 @@ class TestExitCodesWithoutTraceback:
         payload = {
             "workflow": "evolve",
             "initial_state": "ghz",
-            "n_qubits": 13,
-            "hamiltonian": xx_chain(13),
+            "n_qubits": 14,
+            "hamiltonian": xx_chain(14),
             "monotone": "n_qubit",
             "times": [0.3],
             "evolution": {"method": "exact"},
@@ -315,6 +314,22 @@ class TestExitCodesWithoutTraceback:
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
         assert "evolution.method" in proc.stderr
+        assert "got 14" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_product_formula_norm_drift_exits_3(self, tmp_path):
+        # 30,000 first-order steps drift the norm by about 1.5e-12.
+        payload = {
+            "workflow": "evolve",
+            "initial_state": [1, 0],
+            "hamiltonian": [{"coeff": 1.0, "pauli": "X"}, {"coeff": 0.7, "pauli": "Z"}],
+            "monotone": {"name": "y", "n_qubits": 1, "factors": [["Y"]], "contractions": []},
+            "times": [10.0],
+            "evolution": {"method": "trotter1", "steps": 30000},
+        }
+        proc = run_cli(tmp_path, payload)
+        assert proc.returncode == 3, proc.stderr
+        assert "drifted the enlarged norm" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_phases_beyond_the_float_range_exit_3(self, tmp_path):

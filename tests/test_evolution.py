@@ -22,6 +22,7 @@ from embedsim import (
     reality_residual,
     unembed_state,
 )
+from embedsim import evolution
 from embedsim.evolution import METHODS, PHASE_LIMIT
 from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL, _Kernel
 
@@ -433,11 +434,41 @@ class TestSectorPropagator:
             assert (np.max(np.abs(back.amplitudes - direct)) < 1e-12) == agrees
 
     def test_refuses_an_enlarged_register_beyond_the_dense_cap(self, monkeypatch):
-        # 13 simulated qubits fit the cap, their 14-qubit register does not.
-        n = DENSE_QUBIT_CAP
+        # The sector of DENSE_QUBIT_CAP + 1 simulated qubits is past the cap.
+        n = DENSE_QUBIT_CAP + 1
         h_tilde = embed_hamiltonian(PauliSum.from_terms([(1.0, "X" * n)]))
         s = np.zeros(1 << (n + 1))
         s[0] = 1.0
         monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh attempted"))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=f"got {n}"):
             evolve_enlarged(EnlargedState(s), h_tilde, 0.3)
+
+    def test_the_dense_cap_reaches_the_sector_build(self, monkeypatch):
+        # DENSE_QUBIT_CAP simulated qubits on a register of one more: the
+        # sector's dense build is reached, and nothing refuses before it.
+        class Reached(Exception):
+            pass
+
+        def dense(self):
+            assert self.n == DENSE_QUBIT_CAP
+            raise Reached
+
+        n = DENSE_QUBIT_CAP
+        h_tilde = embed_hamiltonian(PauliSum.from_terms([(1.0, "X" * n)]))
+        s = np.zeros(1 << (n + 1))
+        s[0] = 1.0
+        monkeypatch.setattr(PauliSum, "dense", dense)
+        with pytest.raises(Reached):
+            evolve_enlarged(EnlargedState(s), h_tilde, 0.3)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_norm_drift_beyond_norm_atol_is_an_integrity_error(self, rng, monkeypatch, method):
+        # The result is not renormalised: a drift of 1e-11 is refused by name.
+        h_tilde = embed_hamiltonian(random_pauli_sum(rng, 2))
+        s = embed_state(random_state(rng, 2))
+        inner = evolution.evolve
+        monkeypatch.setattr(evolution, "evolve", lambda *a: inner(*a) * (1 + 1e-11))
+        with pytest.raises(NumericalIntegrityError, match=f"{method} evolution drifted"):
+            evolve_enlarged(s, h_tilde, 0.4, method, 3)
+        monkeypatch.setattr(evolution, "evolve", lambda *a: inner(*a) * (1 + 1e-13))
+        evolve_enlarged(s, h_tilde, 0.4, method, 3)

@@ -392,16 +392,16 @@ class TestContraction:
 
     @pytest.mark.parametrize("path,calls", [("direct", 3), ("embedded", 6)])
     def test_one_application_per_distinct_label(self, path, calls, monkeypatch, rng):
-        # The 3-tangle has 3 distinct labels, each used twice per term.
+        # The 3-tangle has 3 distinct labels, each used twice per term; every
+        # term application or read looks up its kernel once.
         applied = []
-        original = embedsim.pauli.apply_pauli_sum
+        original = embedsim.pauli._kernel
 
-        def counting(h, s):
-            applied.append(h.terms[0][1].symbols)
-            return original(h, s)
+        def counting(symbols):
+            applied.append(symbols)
+            return original(symbols)
 
-        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum", counting)
-        monkeypatch.setattr(embedsim.monotones, "apply_pauli_sum", counting)
+        monkeypatch.setattr(embedsim.pauli, "_kernel", counting)
         evaluate_monotone(random_state(rng, 3), three_tangle_spec(), path)
         assert len(applied) == calls
         assert len(set(applied)) == calls

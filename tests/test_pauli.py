@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import itertools
+import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from embedsim import (
     y_parity,
 )
 from embedsim.pauli import (
-    KERNEL_CACHE_QUBITS, KERNEL_CACHE_SIZE, SINGLE_QUBIT, _apply_string, _build, _kernel,
+    KERNEL_CACHE_QUBITS, KERNEL_CACHE_SIZE, SINGLE_QUBIT, _build, _kernel,
 )
 
 from conftest import random_pauli_sum, random_real_state, random_state
@@ -90,6 +91,10 @@ class TestDenseMatrix:
             assert np.max(np.abs(m.real)) == 0
 
 
+def one_term(p: PauliString) -> PauliSum:
+    return PauliSum.from_terms([(1.0, p)])
+
+
 class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_short_string_applies_exactly(self, n, rng):
@@ -97,7 +102,7 @@ class TestKernel:
             p = PauliString("".join(symbols))
             m = dense_matrix(p)
             for s in (random_real_state(rng, n), random_state(rng, n).amplitudes):
-                assert np.array_equal(_apply_string(p, s), m @ s)
+                assert np.array_equal(apply_pauli_sum(one_term(p), s), m @ s)
 
     def test_random_strings_apply_exactly(self, rng):
         for n in range(4, 11):
@@ -105,13 +110,17 @@ class TestKernel:
                 p = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
                 m = dense_matrix(p)
                 for s in (random_real_state(rng, n), random_state(rng, n).amplitudes):
-                    assert np.array_equal(_apply_string(p, s), m @ s)
+                    assert np.array_equal(apply_pauli_sum(one_term(p), s), m @ s)
 
     def test_image_is_real_exactly_for_real_states_and_even_strings(self, rng):
+        # Every image is complex128; its imaginary part is exactly 0 when the
+        # state is real and the Y count even.
         s = random_real_state(rng, 3)
-        assert _apply_string(PauliString("XYY"), s).dtype == np.float64
-        assert _apply_string(PauliString("XYZ"), s).dtype == np.complex128
-        assert _apply_string(PauliString("XYY"), s + 0j).dtype == np.complex128
+        even = apply_pauli_sum(one_term(PauliString("XYY")), s)
+        odd = apply_pauli_sum(one_term(PauliString("XYZ")), s)
+        assert even.dtype == odd.dtype == np.complex128
+        assert not even.imag.any() and odd.imag.any()
+        assert apply_pauli_sum(one_term(PauliString("XYY")), s + 0j).dtype == np.complex128
 
     def test_one_bounded_entry_per_label(self):
         a, b = PauliString("XYZIY"), PauliString("XYZIY")
@@ -294,21 +303,49 @@ class TestExpectation:
             expected = (v @ h.dense() @ v).real
             assert expectation(v, h) == pytest.approx(expected, abs=1e-14)
 
-    def test_real_states_apply_only_even_terms(self, rng, monkeypatch):
-        applied = []
-        original = embedsim.pauli.apply_pauli_sum
-        monkeypatch.setattr(embedsim.pauli, "apply_pauli_sum",
-                            lambda h, s: applied.append(h) or original(h, s))
+    def test_real_states_apply_only_even_terms(self, rng):
+        # An odd-Y term of a real state adds exactly 0 to the real part, so
+        # a sum reads bitwise as its even part alone.
         v = random_real_state(rng, 3)
         assert expectation(v, PauliSum.from_terms([(0.5, "XYZ"), (1.0, "YII")])) == 0.0
-        assert [h.terms for h in applied] == [()]
-        applied.clear()
         mixed = PauliSum.from_terms([(0.5, "XYZ"), (1.0, "YYI"), (-0.25, "ZIX")])
+        even = PauliSum.from_terms([(1.0, "YYI"), (-0.25, "ZIX")])
         value = expectation(v, mixed)
-        assert [h.to_records() for h in applied] == [[
-            {"coeff": 1.0, "pauli": "YYI"}, {"coeff": -0.25, "pauli": "ZIX"},
-        ]]
+        assert value == expectation(v, even)
         assert value == pytest.approx((v @ mixed.dense() @ v).real, abs=1e-14)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            h = random_pauli_sum(rng, n, max_terms=6)
+            v = random_real_state(rng, n)
+            odd = PauliSum(n, tuple(t for t in h.terms if y_parity(t[1]) == "odd"))
+            even = PauliSum(n, tuple(t for t in h.terms if y_parity(t[1]) == "even"))
+            assert expectation(v, odd) == 0.0
+            assert expectation(v, h) == expectation(v, even)
+
+    def test_a_real_read_keeps_one_scratch_buffer(self):
+        # Three terms on 2^15 real amplitudes: the scratch buffer and the
+        # int8 kernels, below two state sizes.
+        v = np.random.default_rng(3).standard_normal(1 << 15)
+        v /= np.linalg.norm(v)
+        h = PauliSum.from_terms([(0.5, "XZ" * 7 + "Y"), (1.0, "Z" * 15), (-0.25, "YY" + "X" * 13)])
+        tracemalloc.start()
+        try:
+            expectation(v, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * v.nbytes
+
+    def test_list_and_integer_states_read(self):
+        one = PauliSum.from_terms([(0.5, "Z"), (0.2, "X")])
+        two = PauliSum.from_terms([(1.0, "XY"), (0.5, "ZZ"), (0.25, "YY")])
+        for state, h, value in [
+            ([1, 0], one, 0.5), ([0, 1], one, -0.5), (np.array([1, 0]), one, 0.5),
+            ([1.0, 0.0], one, 0.5), ([1j, 0], one, 0.5),
+            ([0, 1, 1, 0], two, -0.5), (np.array([1, 1, 1, 1]), two, 0.0),
+        ]:
+            result = expectation(state, h)
+            assert type(result) is float and result == value
 
     def test_large_coefficients_are_hermitian(self, rng):
         # The imaginary rounding residue grows with sum |c|; a fixed bound
