@@ -17,8 +17,8 @@ from embedsim import (
     embed_hamiltonian,
     embed_state,
     evaluate_monotone,
+    evolve,
     evolve_enlarged,
-    evolve_exact,
 )
 
 
@@ -39,7 +39,7 @@ def main():
         print(f"  {record['coeff']:+g} * {record['pauli']}")
     print(f"\n{'t':>6} {'direct':>12} {'embedded':>12} {'|diff|':>10}")
     for t in np.linspace(0.0, args.t_max, args.points):
-        psi_t = PureState.from_amplitudes(evolve_exact(psi0.amplitudes, h, t))
+        psi_t = PureState(evolve(psi0.amplitudes, h, t))
         tilde_t = evolve_enlarged(tilde0, h_tilde, t)
         direct = evaluate_monotone(psi_t, spec, path="direct").value
         embedded = evaluate_monotone(tilde_t, spec, path="embedded").value

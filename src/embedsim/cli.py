@@ -41,11 +41,12 @@ CONFIG_KEYS = (
     "evolution", "shots", "roof", "mixed_state",
 )
 PATH_AGREEMENT_ATOL = 1e-9
-# Caps on a config's loop counts, far above the 20 steps, 8 restarts and 500
-# iterations any shipped config, test or benchmark asks for.
+# Caps on a config's loop counts, far above the 20 steps, 8 restarts, 500
+# iterations and 2 extra terms any shipped config, test or benchmark asks for.
 MAX_EVOLUTION_STEPS = 10**6
 MAX_ROOF_RESTARTS = 10**3
 MAX_ROOF_ITERATIONS = 10**5
+MAX_ROOF_EXTRA_TERMS = 64
 # Cap on a config's qubit counts: a preset state of 24 qubits holds 256 MiB of
 # amplitudes, and larger counts would allocate past memory or emit a
 # tomography baseline too long to print.
@@ -267,7 +268,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     roof = None
     if raw.get("roof") is not None:
-        readers = {"extra_terms": (_integer, 0, np.inf),
+        readers = {"extra_terms": (_integer, 0, MAX_ROOF_EXTRA_TERMS),
                    "max_iterations": (_integer, 1, MAX_ROOF_ITERATIONS),
                    "restarts": (_integer, 1, MAX_ROOF_RESTARTS), "tolerance": (_number,),
                    "seed": (_integer, 0, 2**64 - 1)}
@@ -366,7 +367,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
                 )
             except CapacityError as exc:
                 _fail("evolution.method", f"{exc}; use 'trotter1' or 'trotter2'")
-            psi_t = PureState.from_amplitudes(evolve(
+            psi_t = PureState(evolve(
                 psi0.amplitudes, config.hamiltonian, t,
                 config.evolution_method, config.evolution_steps,
             ))

@@ -115,7 +115,7 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
         raise ValueError("columns are not orthonormal within 1e-10")
     (probs,), (states,) = _members_from_isometry(scaled, w[None])
     members = tuple(
-        (float(p), PureState.from_amplitudes(states[j]))
+        (float(p), PureState(states[j]))
         for j, p in enumerate(probs)
         if p > PROB_FLOOR
     )

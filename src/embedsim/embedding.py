@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalIntegrityError
-from .pauli import NORM_ATOL, PauliString, PauliSum, PureState, _freeze, _norm, y_parity
+from .errors import DimensionError, NumericalIntegrityError
+from .pauli import (NORM_ATOL, PauliString, PauliSum, PureState, _freeze, _norm, _qubit_count,
+                    y_parity)
 
 REALITY_ATOL = 1e-10
 
@@ -48,9 +49,8 @@ class EnlargedState:
                 )
             arr = arr.real
         arr = np.asarray(arr, dtype=float)
-        size = arr.size
-        if size < 4 or size & (size - 1):
-            raise ValueError(f"enlarged vector length {size} is not a power of two >= 4")
+        if _qubit_count(arr.size, "enlarged vector") < 2:
+            raise DimensionError(f"enlarged vector length {arr.size} is below 4")
         norm = _norm(arr)
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"enlarged state norm {norm} deviates from 1")
@@ -101,14 +101,9 @@ def embed_state(psi: PureState) -> EnlargedState:
 
 
 def unembed_state(tilde: EnlargedState) -> PureState:
-    half = tilde.amplitudes.size // 2
-    psi = tilde.amplitudes[:half] + 1j * tilde.amplitudes[half:]
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > REALITY_ATOL:
-        raise NumericalIntegrityError(
-            f"unembedded norm {norm} deviates from 1: invalid enlarged state"
-        )
-    return PureState(psi / norm)
+    """The collapse [x; y] -> x + iy; it keeps a valid state's norm, so it does not renormalise."""
+    x, y = np.split(tilde.amplitudes, 2)
+    return PureState(x + 1j * y)
 
 
 def conjugation_gate(n: int) -> PauliSum:

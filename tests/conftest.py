@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from embedsim import PauliSum, PureState
+from embedsim import PauliSum, PureState, evolution
+from embedsim.evolution import evolve_exact, evolve_trotter
 
 settings.register_profile(
     "ci",
@@ -35,6 +36,17 @@ def random_pauli_sum(rng, n, max_terms=4):
         for _ in range(num)
     ]
     return PauliSum.from_terms(terms, n=n)
+
+
+def drift_propagator(monkeypatch, method, scale, only=None):
+    """Patch the propagator behind `method` to scale its result by `scale`;
+    with `only`, just the calls made with that Hamiltonian object."""
+    inner = evolve_exact if method == "exact" else evolve_trotter
+
+    def drifting(s, h, *args):
+        return inner(s, h, *args) * (scale if only is None or h is only else 1.0)
+
+    monkeypatch.setattr(evolution, inner.__name__, drifting)
 
 
 def random_product_state(rng, n):

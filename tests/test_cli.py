@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedsim
-from embedsim import ConfigError, expand_to_observables
+from embedsim import ConfigError, NumericalIntegrityError, expand_to_observables
 from embedsim.cli import (
     MAX_EVOLUTION_STEPS,
     MAX_QUBITS,
+    MAX_ROOF_EXTRA_TERMS,
     MAX_ROOF_ITERATIONS,
     MAX_ROOF_RESTARTS,
     MAX_SPEC_DEGREE,
@@ -33,6 +34,10 @@ from embedsim.cli import (
     run,
     w_state,
 )
+
+from conftest import drift_propagator
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -169,6 +174,25 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         (record,) = json.loads(proc.stdout)
         assert abs(record["value_direct"] - record["value_embedded"]) < 1e-9
+
+    @pytest.mark.parametrize("method", ["exact", "trotter2"])
+    def test_a_norm_drift_on_the_direct_path_alone_is_refused(self, monkeypatch, method):
+        # The direct result is not renormalised: a 1e-11 drift under H, with
+        # the enlarged path under the sector untouched, stops the run.
+        config = parse_config({**WORKED_EXAMPLE_EVOLVE, "times": [0.4],
+                               "evolution": {"method": method, "steps": 3}})
+        drift_propagator(monkeypatch, method, 1 + 1e-11, only=config.hamiltonian)
+        with pytest.raises(NumericalIntegrityError, match=f"{method} evolution drifted the norm"):
+            run(config)
+
+    def test_trotter_chain_paths_agree_to_rounding(self):
+        # Under Trotter the enlarged result is bitwise [Re d; Im d]: with no
+        # renormalisation on either path, only the monotone sums differ.
+        config = json.loads((CONFIGS / "trotter_chain.json").read_text())
+        records = run(parse_config(config))
+        assert len(records) == 5
+        for r in records:
+            assert abs(r.value_direct - r.value_embedded) <= 1e-15
 
     def test_evolve_diagonalises_each_hamiltonian_once(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -329,7 +353,7 @@ class TestExitCodesWithoutTraceback:
         }
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 3, proc.stderr
-        assert "drifted the enlarged norm" in proc.stderr
+        assert "drifted the norm" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_phases_beyond_the_float_range_exit_3(self, tmp_path):
@@ -404,7 +428,7 @@ ROOF_WERNER = {
 }
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.json"))
 
 
 class TestStrictConfig:
@@ -541,6 +565,12 @@ class TestLoopCountCaps:
         ({**ROOF_WERNER, "roof": {"restarts": 10**9}}, "'roof.restarts'"),
         ({**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 10**12}},
          "'roof.max_iterations'"),
+        # found by hand: k = min(1 + 10^6, 4^4) = 256 members ran for about an hour
+        ({"workflow": "roof", "initial_state": "ghz", "n_qubits": 4, "monotone": "n_qubit",
+          "roof": {"extra_terms": 10**6, "restarts": 1, "max_iterations": 1}},
+         "'roof.extra_terms'"),
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "extra_terms": MAX_ROOF_EXTRA_TERMS + 1}},
+         "'roof.extra_terms'"),
         # found by the whole-run fuzz: a MemoryError and an integer too long to print
         ({**BELL_MONOTONE, "initial_state": "ghz", "n_qubits": 2**64}, "'n_qubits'"),
         ({"workflow": "count", "monotone": "n_qubit", "n_qubits": 10**7}, "'n_qubits'"),
@@ -554,7 +584,7 @@ class TestLoopCountCaps:
          "capped"),
         ({"workflow": "roof", "initial_state": "ghz", "n_qubits": MAX_QUBITS,
           "monotone": "n_qubit"}, "capped"),
-    ], ids=["steps", "restarts", "max_iterations", "state-qubits", "count-qubits", "spec-qubits",
+    ], ids=["steps", "restarts", "max_iterations", "extra_terms-huge", "extra_terms", "state-qubits", "count-qubits", "spec-qubits",
             "spec-degree", "roof-qubits-14", "roof-qubits-max"])
     def test_count_beyond_its_cap_exits_2(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
@@ -567,10 +597,12 @@ class TestLoopCountCaps:
                   "evolution": {"method": "trotter1", "steps": MAX_EVOLUTION_STEPS}}
         assert parse_config(evolve).evolution_steps == MAX_EVOLUTION_STEPS
         roof = {**ROOF_WERNER, "roof": {"restarts": MAX_ROOF_RESTARTS,
-                                        "max_iterations": MAX_ROOF_ITERATIONS}}
+                                        "max_iterations": MAX_ROOF_ITERATIONS,
+                                        "extra_terms": MAX_ROOF_EXTRA_TERMS}}
         config = parse_config(roof)
         assert config.roof.restarts == MAX_ROOF_RESTARTS
         assert config.roof.max_iterations == MAX_ROOF_ITERATIONS
+        assert config.roof.extra_terms == MAX_ROOF_EXTRA_TERMS
         count = parse_config({"workflow": "count", "monotone": "n_qubit", "n_qubits": MAX_QUBITS})
         assert count.monotone.n_qubits == MAX_QUBITS
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from embedsim import (
+    DimensionError,
     EmbeddedHamiltonian,
     EnlargedState,
     NumericalIntegrityError,
@@ -50,8 +51,7 @@ def test_unembed_examples():
 
 def test_unembed_preserves_norm_on_all_valid_inputs(rng):
     # ||re||^2 + ||im||^2 = 1 makes the collapsed vector unit-norm for every
-    # valid enlarged state; the defensive norm check in unembed_state guards
-    # raw vectors that bypass the EnlargedState invariants.
+    # valid enlarged state, so unembed_state does not renormalise it.
     for _ in range(30):
         v = rng.normal(size=8)
         tilde = EnlargedState(v / np.linalg.norm(v))
@@ -245,3 +245,11 @@ class TestEnlargedState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             EnlargedState(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6, 12])
+    def test_length_is_a_power_of_two_of_at_least_4(self, size):
+        # pauli._qubit_count owns the power-of-two rule; N >= 1 sets the floor.
+        v = np.zeros(size)
+        v[0] = 1.0
+        with pytest.raises(DimensionError, match=f"length {size} "):
+            EnlargedState(v)

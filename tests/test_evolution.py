@@ -22,11 +22,10 @@ from embedsim import (
     reality_residual,
     unembed_state,
 )
-from embedsim import evolution
 from embedsim.evolution import METHODS, PHASE_LIMIT
 from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL, _Kernel
 
-from conftest import random_pauli_sum, random_real_state, random_state
+from conftest import drift_propagator, random_pauli_sum, random_real_state, random_state
 
 
 def test_plan_validation():
@@ -463,12 +462,31 @@ class TestSectorPropagator:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_norm_drift_beyond_norm_atol_is_an_integrity_error(self, rng, monkeypatch, method):
-        # The result is not renormalised: a drift of 1e-11 is refused by name.
+        # The result is not renormalised: a drift of 1e-11 in the propagator
+        # is refused by name, by the `evolve` the enlarged path goes through.
         h_tilde = embed_hamiltonian(random_pauli_sum(rng, 2))
         s = embed_state(random_state(rng, 2))
-        inner = evolution.evolve
-        monkeypatch.setattr(evolution, "evolve", lambda *a: inner(*a) * (1 + 1e-11))
+        drift_propagator(monkeypatch, method, 1 + 1e-11)
         with pytest.raises(NumericalIntegrityError, match=f"{method} evolution drifted"):
             evolve_enlarged(s, h_tilde, 0.4, method, 3)
-        monkeypatch.setattr(evolution, "evolve", lambda *a: inner(*a) * (1 + 1e-13))
+        drift_propagator(monkeypatch, method, 1 + 1e-13)
         evolve_enlarged(s, h_tilde, 0.4, method, 3)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evolve_refuses_a_norm_drift_on_a_raw_vector(rng, monkeypatch, method):
+    # The check is on `evolve` itself, so a plain 2-qubit array is held to it.
+    h, s = random_pauli_sum(rng, 2), random_state(rng, 2).amplitudes
+    drift_propagator(monkeypatch, method, 1 + 1e-11)
+    with pytest.raises(NumericalIntegrityError, match=f"{method} evolution drifted the norm"):
+        evolve(s, h, 0.4, method, 3)
+    drift_propagator(monkeypatch, method, 1 + 1e-13)
+    evolve(s, h, 0.4, method, 3)
+
+
+def test_evolve_holds_the_norm_relative_to_the_input(rng):
+    # An unnormalised input keeps its own norm; the bound scales with it.
+    h, s = random_pauli_sum(rng, 2), 3.0 * random_state(rng, 2).amplitudes
+    for method in METHODS:
+        out = evolve(s, h, 0.7, method, 4)
+        assert abs(np.linalg.norm(out) - 3.0) <= 3.0 * NORM_ATOL

@@ -1,7 +1,6 @@
 """Every shipped script imports cleanly, so a script that still uses a
 removed public name fails here rather than in a user's hands; the scripts
-that drive evaluate_monotone and convex_roof_estimate also run end to end
-on small arguments."""
+that print a table also run end to end on small arguments."""
 
 import importlib.util
 import sys
@@ -27,7 +26,8 @@ def test_script_imports_without_running(path):
 @pytest.mark.parametrize("name,argv,rows", [
     ("worked_example.py", ["--points", "3"], 3),
     ("werner_roof.py", ["--steps", "2", "--restarts", "1"], 2),
-], ids=["worked_example", "werner_roof"])
+    ("shot_scaling.py", ["--seeds", "3", "--shots", "100", "1000"], 2),
+], ids=["worked_example", "werner_roof", "shot_scaling"])
 def test_script_runs_on_small_arguments(name, argv, rows, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     load(next(p for p in SCRIPTS if p.name == name)).main()
