@@ -1,17 +1,21 @@
 """Mixed-state monotones via the convex roof.
 
-The outer minimization runs over pure-state decompositions parameterized by
-isometries acting on the spectral ensemble; the inner loop evaluates each
-member's monotone from its embedded pairs, read on its own 2^N vector. A
-derivative-free coordinate search (quadratic fit per coordinate, shrinking
-step) drives the descent. Its restarts descend in lockstep: the objective
-takes a batch of parameter rows, and one call evaluates the probes of every
-live restart at each sweep position. The objective is >= 0, so a restart
-ending below 1e-12 ends the search; the least final value wins. Without
-shots the result is always an upper bound: every decomposition is feasible.
-Under `RoofConfig.shots` each member samples on fixed streams at every
-objective call, so `value` is the minimum of one noise realisation, an
-in-sample estimate that can fall below the roof.
+The outer minimization runs over pure-state decompositions steered from the
+spectral ensemble by k x rank isometries W (W^dagger W = I): member j is
+phi_j = sum_i W_ji sqrt(lam_i) e_i. Each member's antilinear expectations are
+quadratic forms in row j of W over r x r steering forms, one per distinct
+label, and the monotone is homogeneous in them, so the objective and its
+exact gradient never build a 2^N member vector. A Riemannian
+conjugate-gradient search (Polak-Ribiere+, QR retraction, Armijo
+backtracking) descends on the complex Stiefel manifold; its restarts run in
+one batch, each exactly as it would alone. `RoofConfig.tolerance` bounds the
+norm of the Riemannian gradient, and `converged` says that the winning
+restart reached it. The objective is >= 0, so a restart falling below 1e-12
+ends the search; the least final value wins. Without shots the result is an
+upper bound: every decomposition is feasible. A sampled objective is
+piecewise constant in W, so under `RoofConfig.shots` the descent still runs
+on the exact pairs, and `value` samples the winning decomposition once,
+member j on plan seed + j.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import ShotPlan, combine_estimates, sample_estimates
-from .monotones import EmbeddedEvaluator, MonotoneSpec
-from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, dense_matrix
+from .monotones import EmbeddedEvaluator, MonotoneSpec, _expansion
+from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, apply_pauli_sum, dense_matrix
 
 RANK_EPS = 1e-10
 RECONSTRUCTION_ATOL = 1e-8
 PROB_FLOOR = 1e-14
+ARMIJO = 1e-4
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,9 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RoofConfig:
+    """k = rank + extra_terms members; each restart stops after
+    max_iterations steps or once its Riemannian gradient norm is <= tolerance."""
+
     extra_terms: int = 2
     max_iterations: int = 500
     restarts: int = 8
@@ -93,19 +102,9 @@ def _spectral(rho: MixedState) -> np.ndarray:
     return vecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
 
 
-def _members_from_isometry(scaled: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized ensemble steering phi_j = sum_i W_ji sqrt(lam_i) e_i for
-    each isometry of the batch w (b, k, r). Returns (probabilities (b, k),
-    normalized states (b, k, dim)); a member at or below PROB_FLOOR gets a
-    zero state."""
-    phi = scaled @ w.transpose(0, 2, 1)      # (b, dim, k)
-    probs = np.sum(np.abs(phi) ** 2, axis=1)
-    states = np.zeros_like(phi)
-    np.divide(phi, np.sqrt(probs)[:, None, :], out=states, where=(probs > PROB_FLOOR)[:, None, :])
-    return probs, states.transpose(0, 2, 1)
-
-
 def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition:
+    """The ensemble phi_j = sum_i W_ji sqrt(lam_i) e_i steered by the k x rank
+    isometry w, normalized, without its members at or below PROB_FLOOR."""
     w = np.asarray(w, dtype=complex)
     scaled = _spectral(rho)
     r = scaled.shape[1]
@@ -113,10 +112,11 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
         raise ValueError(f"isometry must be k x {r} for this state, got {w.shape}")
     if np.max(np.abs(w.conj().T @ w - np.eye(r))) > 1e-10:
         raise ValueError("columns are not orthonormal within 1e-10")
-    (probs,), (states,) = _members_from_isometry(scaled, w[None])
+    phi = w @ scaled.T                        # (k, dim)
+    probs = np.sum(np.abs(phi) ** 2, axis=1)
     members = tuple(
-        (float(p), PureState(states[j]))
-        for j, p in enumerate(probs)
+        (float(p), PureState(v / np.sqrt(p)))
+        for p, v in zip(probs, phi)
         if p > PROB_FLOOR
     )
     d = Decomposition(members)
@@ -130,164 +130,169 @@ def eigendecomposition_start(rho: MixedState) -> Decomposition:
     return decomposition_from_isometry(rho, np.eye(_spectral(rho).shape[1]))
 
 
-def _ensemble_value(
-    evaluator: EmbeddedEvaluator,
-    probs: np.ndarray,
-    states: np.ndarray,
-    shots: ShotPlan | None,
-) -> np.ndarray:
-    """sum_j p_j E(phi_j) for each ensemble of the batch (probs (b, k),
-    states (b, k, dim)) over its members above PROB_FLOOR, each evaluated
-    from its embedded pairs on its own state; with shots, member j samples
-    its exact (<Z(x)O>, <X(x)O>) pairs with seed shots.seed + j."""
-    nz = probs > PROB_FLOOR
-    b, k, dim = states.shape
-    rows = states.reshape(b * k, dim)
-    if shots is None:
-        values = evaluator.values_batch(rows).reshape(b, k, 1)
-        # a matmul per row keeps the member sum a BLAS dot product; a plain
-        # sum over the row rounds differently in the last bit
-        return (np.where(nz, probs, 0.0)[:, None, :] @ values)[:, 0, 0]
-    ex = evaluator.antilinear_batch(rows)
-    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(b, k, -1)
-    totals = np.zeros(b)
-    for i, j in zip(*np.nonzero(nz)):
-        plan = ShotPlan(shots.shots, (shots.seed + int(j)) % 2**64)
-        totals[i] += probs[i, j] * combine_estimates(evaluator.spec, sample_estimates(pairs[i, j], plan))
-    return totals
-
-
 def roof_objective(
     d: Decomposition, spec: MonotoneSpec, shots: ShotPlan | None = None
 ) -> float:
-    """sum_i p_i E(|psi_i>), every member evaluated via the embedded path."""
-    probs = np.array([[p for p, _ in d.members]])
-    states = np.array([[psi.amplitudes for _, psi in d.members]])
-    return float(_ensemble_value(EmbeddedEvaluator(spec), probs, states, shots)[0])
+    """sum_j p_j E(|psi_j>), every member evaluated via the embedded path on
+    its own state; with shots, member j samples its exact (<Z(x)O>, <X(x)O>)
+    pairs with seed shots.seed + j."""
+    evaluator = EmbeddedEvaluator(spec)
+    probs = np.array([p for p, _ in d.members])
+    states = np.array([psi.amplitudes for _, psi in d.members])
+    if shots is None:
+        return float(probs @ evaluator.values_batch(states))
+    ex = evaluator.antilinear_batch(states)
+    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(len(probs), -1)
+    return float(sum(
+        p * combine_estimates(spec, sample_estimates(pair, ShotPlan(shots.shots, (shots.seed + j) % 2**64)))
+        for j, (p, pair) in enumerate(zip(probs, pairs))
+    ))
 
 
-def _isometry_from_params(x: np.ndarray, upper: tuple, r: int) -> np.ndarray:
-    """exp(-iG)[:, :r] for each row of x (b, n): G Hermitian with diagonal
-    x[:k] and (re, im) pairs x[k:] at `upper`. Returns (b, k, r)."""
-    k = math.isqrt(x.shape[1])
-    g = np.zeros((len(x), k, k), dtype=complex)
-    diagonal = np.arange(k)
-    g[:, diagonal, diagonal] = x[:, :k]
-    vals = x[:, k::2] + 1j * x[:, k + 1::2]
-    g[:, upper[0], upper[1]] = vals
-    g[:, upper[1], upper[0]] = vals.conj()
-    evals, vecs = np.linalg.eigh(g)
-    u = (vecs * np.exp(-1j * evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return u[:, :, :r]
+def _steered_objective(scaled: np.ndarray, spec: MonotoneSpec):
+    """The roof objective over isometries W (b, k, r) steering the basis
+    `scaled` (dim x r), and its Euclidean gradient 2 df/dW*.
+
+    With z = conj(W_j), member j's antilinear expectations are A_l = z^T M_l z
+    for the symmetric r x r forms M_l = S^dagger O_l S*, and its weight is
+    p = sum_i lam_i |W_ji|^2. E is homogeneous of degree D in the A_l, so the
+    member adds |F(A)| p^(1-D), or 0 at p <= PROB_FLOOR; F is the spec's
+    signed product. Returns f mapping (b, k, r) to (values (b,), gradients
+    (b, k, r)); each row is computed as it would be alone."""
+    e = _expansion(spec)
+    terms, degree = e.index.shape
+    s = scaled.conj()
+    m = s.T @ np.array([[apply_pauli_sum(o, col) for col in s.T] for o in e.sums]).transpose(0, 2, 1)
+    forms = (m + m.transpose(0, 2, 1)) / 2                       # (labels, r, r)
+    lam = np.sum(np.abs(scaled) ** 2, axis=0)
+    signs = e.signs.astype(complex)
+    # dF/dA_l sums signs[t] times the other factors of term t over each slot
+    # (t, i) that holds label l; `others` lists those factors' labels
+    others = np.stack([np.delete(e.index, i, axis=1) for i in range(degree)], axis=1)
+    scatter = np.zeros((len(forms), terms * degree), dtype=complex)
+    scatter[e.index.ravel(), np.arange(terms * degree)] = np.repeat(e.signs, degree)
+
+    def f(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = w.conj()
+        mz = z[:, None] @ forms                                  # (b, labels, k, r): M_l z_j
+        a = (mz * z[:, None]).sum(axis=-1)                       # (b, labels, k)
+        p = (w * z).real @ lam
+        live = p > PROB_FLOOR
+        big_f = np.where(live, signs @ a[:, e.index].prod(axis=2), 0.0)
+        size = np.abs(big_f)
+        u = np.where(live, p, 1.0)
+        weight = u ** (1 - degree)
+        dfda = scatter @ a[:, others].prod(axis=3).reshape(len(w), -1, w.shape[1])
+        # 2 df/dz = 2 p^(1-D) conj(F)/|F| sum_l dF/dA_l M_l z + 2 (1-D) |F| p^-D lam w
+        coeff = 2.0 * weight * big_f.conj() / np.maximum(size, 1e-300)  # phase 0 where F = 0
+        grad = ((coeff[:, None] * dfda)[..., None] * mz).sum(axis=1)
+        radial = 2.0 * (1 - degree) * size * weight / u
+        return (size * weight).sum(axis=-1), grad + radial[..., None] * lam * w
+
+    return f
 
 
-def _coordinate_descent(f, x0, max_iterations, tolerance):
-    """Coordinate-wise quadratic fit with shrinking step, plus a pattern
-    (accelerated) move after each productive sweep, for every row of x0
-    (b, n) in lockstep. f maps a batch of points (m, n) to their values
-    (m,); one call takes the +h and -h probes of every live row, one the
-    quadratic-fit points, one the pattern trials. Each row descends exactly
-    as it would alone until one ends an iteration below 1e-12 (f >= 0): that
-    ends the search, and rows not yet done report converged=False. Returns
-    per row (x, fx, per-iteration best history, converged, iterations used)."""
-    x = np.array(x0, dtype=float)
-    fx = f(x)
-    histories = [[float(v)] for v in fx]
-    h = np.full(len(x), 0.25)  # each row's initial step
-    converged = np.zeros(len(x), dtype=bool)
-    iterations = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    for it in range(max_iterations):
-        if not live.size:
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^dagger b) per row of two (b, k, r) batches."""
+    return (a.conj() * b).real.sum(axis=(1, 2))
+
+
+def _tangent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x projected on the tangent space of the Stiefel manifold at w."""
+    wx = w.conj().transpose(0, 2, 1) @ x
+    return x - w @ ((wx + wx.conj().transpose(0, 2, 1)) / 2)
+
+
+def _retract(x: np.ndarray) -> np.ndarray:
+    """Q of x = QR, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(x)
+    d = r.diagonal(axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _conjugate_gradient(f, w0, max_iterations, tolerance):
+    """Riemannian Polak-Ribiere+ conjugate gradients on the complex Stiefel
+    manifold, for every isometry of w0 (b, k, r) in one batch. f maps a batch
+    of isometries to (values, Euclidean gradients). Each step backtracks from
+    twice the last accepted step, halving up to MAX_HALVINGS times, to the
+    Armijo condition; the previous direction is transported by projection
+    onto the new tangent space. A row leaves the batch when its Riemannian
+    gradient norm is <= tolerance, when its line search finds no decrease,
+    or after max_iterations steps, and descends exactly as it would alone
+    until one row falls below 1e-12 (f >= 0): that ends the search. Returns
+    per row (w, f(w), values after each step, converged, steps taken)."""
+    w = np.array(w0, dtype=complex)
+    fw, g = f(w)
+    g = _tangent(w, g)
+    gg = _inner(g, g)
+    d = -g
+    histories = [[float(v)] for v in fw]
+    step = np.full(len(w), 0.5)  # the first trial is twice this
+    iterations = np.zeros(len(w), dtype=int)
+    live = np.flatnonzero(np.sqrt(gg) > tolerance) if (fw >= 1e-12).all() else np.arange(0)
+    while live.size:
+        wl, dl, fl = w[live], d[live], fw[live]
+        drop = ARMIJO * _inner(g[live], dl)
+        t = 2.0 * step[live]
+        new_w, new_f, new_g = np.empty_like(wl), np.empty(live.size), np.empty_like(wl)
+        pending = np.arange(live.size)
+        for _ in range(MAX_HALVINGS + 1):
+            points = _retract(wl[pending] + t[pending, None, None] * dl[pending])
+            fp, gp = f(points)
+            ok = fp <= fl[pending] + t[pending] * drop[pending]
+            done = pending[ok]
+            new_w[done], new_f[done], new_g[done] = points[ok], fp[ok], gp[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            t[pending] *= 0.5
+        moved = np.ones(live.size, dtype=bool)
+        moved[pending] = False  # no decrease: the row leaves the batch
+        rows = live[moved]
+        new_w = new_w[moved]
+        new_g = _tangent(new_w, new_g[moved])
+        new_gg = _inner(new_g, new_g)
+        # <new_g, P(g)> = <new_g, g> for the projection P onto new_w's tangent space
+        beta = np.maximum(0.0, (new_gg - _inner(new_g, g[rows])) / gg[rows])
+        new_d = beta[:, None, None] * _tangent(new_w, d[rows]) - new_g
+        restart = _inner(new_g, new_d) >= 0.0
+        new_d[restart] = -new_g[restart]
+        w[rows], fw[rows], g[rows], gg[rows], d[rows] = new_w, new_f[moved], new_g, new_gg, new_d
+        step[rows] = t[moved]
+        iterations[rows] += 1
+        for row in rows:
+            histories[row].append(float(fw[row]))
+        if (fw[rows] < 1e-12).any():
             break
-        iterations[live] = it + 1
-        xs, fs, hs = x[live], fx[live], h[live]
-        x_before, f_before = xs.copy(), fs.copy()
-        m, steps = len(live), np.concatenate([hs, -hs])
-        for c in range(x.shape[1]):
-            probes = np.concatenate([xs, xs])
-            probes[:, c] += steps
-            fpm = f(probes)
-            fp, fm, xp, xm = fpm[:m], fpm[m:], probes[:m, c], probes[m:, c]
-            curv = (fp + fm - 2.0 * fs) / hs**2
-            slope = (fp - fm) / (2.0 * hs)
-            # candidates in the order +h, -h, fit; the first least one wins
-            lower = fm < fp
-            fbest, xbest = np.where(lower, fm, fp), np.where(lower, xm, xp)
-            fit = np.flatnonzero(curv > 1e-12)
-            delta = np.clip(-slope[fit] / curv[fit], -4.0 * hs[fit], 4.0 * hs[fit])
-            moved = np.abs(np.abs(delta) - hs[fit]) > 1e-15
-            fit, delta = fit[moved], delta[moved]
-            if fit.size:
-                points = xs[fit]
-                points[:, c] += delta
-                fq = f(points)
-                lower = fq < fbest[fit]
-                fbest[fit[lower]], xbest[fit[lower]] = fq[lower], points[lower, c]
-            better = fbest < fs - 1e-15
-            xs[better, c], fs[better] = xbest[better], fbest[better]
-        # pattern move: extend along the net sweep displacement while it helps;
-        # the trials are x + d, x + 3d, x + 7d, ... and accepted in order
-        direction = xs - x_before
-        rows = np.flatnonzero((fs < f_before) & np.any(direction != 0.0, axis=1))
-        if rows.size:
-            trials, t, d, scale = [], xs[rows], direction[rows], 1.0
-            for _ in range(8):
-                t = t + scale * d
-                trials.append(t)
-                scale *= 2.0
-            trials = np.stack(trials, axis=1)                 # (rows, 8, n)
-            ft = f(trials.reshape(-1, x.shape[1])).reshape(rows.size, -1)
-            for i, row in enumerate(rows):
-                for point, f_trial in zip(trials[i], ft[i]):
-                    if not f_trial < fs[row] - 1e-15:
-                        break
-                    xs[row], fs[row] = point, f_trial
-        for row, value in zip(live, fs):
-            histories[row].append(float(value))
-        zero = fs < 1e-12
-        stalled = f_before - fs < tolerance
-        hs[stalled] *= 0.5
-        done = zero | (stalled & (hs < tolerance))
-        x[live], fx[live], h[live], converged[live] = xs, fs, hs, done
-        if zero.any():
-            break
-        live = live[~done]
-    return x, fx, histories, converged, iterations
+        live = rows[(np.sqrt(new_gg) > tolerance) & (iterations[rows] < max_iterations)]
+    return w, fw, histories, np.sqrt(gg) <= tolerance, iterations
 
 
 def convex_roof_estimate(
     rho: MixedState, spec: MonotoneSpec, cfg: RoofConfig = RoofConfig()
 ) -> RoofResult:
     """Upper-bound estimate of the convex-roof monotone of rho; with
-    `cfg.shots`, an in-sample minimum that can fall below the roof.
+    `cfg.shots`, the winning decomposition's sampled objective.
 
     The decomposition size is k = rank + extra_terms, capped at 4^N (no
-    optimal decomposition needs more members than rank^2 <= 4^N). The
-    restart with the least final value wins.
+    optimal decomposition needs more members than rank^2 <= 4^N). Restart 0
+    starts at the spectral decomposition, the others at seeded isometries
+    (the QR of a complex Gaussian matrix); the least final value wins.
     """
     scaled = _spectral(rho)
     r = scaled.shape[1]
     k = min(r + cfg.extra_terms, 4**rho.n)
-    n_params = k + k * (k - 1)
-    upper = np.triu_indices(k, 1)
-
-    evaluator = EmbeddedEvaluator(spec)
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        probs, states = _members_from_isometry(scaled, _isometry_from_params(x, upper, r))
-        return _ensemble_value(evaluator, probs, states, cfg.shots)
-
-    # restart 0 starts at the spectral decomposition, the others at draws
-    x0 = np.zeros((cfg.restarts, n_params))
-    x0[1:] = np.random.default_rng(cfg.seed).normal(0.0, 0.6, (cfg.restarts - 1, n_params))
-    x, fx, histories, converged, iterations = _coordinate_descent(
-        objective, x0, cfg.max_iterations, cfg.tolerance
+    rng = np.random.default_rng(cfg.seed)
+    shape = (cfg.restarts - 1, k, r)
+    w0 = np.concatenate([np.eye(k, r)[None], _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
+    w, fw, histories, converged, iterations = _conjugate_gradient(
+        _steered_objective(scaled, spec), w0, cfg.max_iterations, cfg.tolerance
     )
-    best = int(np.argmin(fx))
-    decomposition = decomposition_from_isometry(rho, _isometry_from_params(x[best:best + 1], upper, r)[0])
+    best = int(np.argmin(fw))
+    decomposition = decomposition_from_isometry(rho, w[best])
+    value = fw[best] if cfg.shots is None else roof_objective(decomposition, spec, cfg.shots)
     return RoofResult(
-        value=float(fx[best]),
+        value=float(value),
         decomposition=decomposition,
         iterations=int(iterations[best]),
         converged=bool(converged[best]),

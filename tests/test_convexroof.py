@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from embedsim import (
     efficiency_check,
     eigendecomposition_start,
     embed_state,
+    n_qubit_spec,
     roof_objective,
     sample_monotone,
+    second_order_spec,
+    three_tangle_spec,
     werner_state,
     wootters_oracle,
 )
 from embedsim import convexroof
-from embedsim.convexroof import _coordinate_descent
+from embedsim.convexroof import _conjugate_gradient
 from embedsim.monotones import EmbeddedEvaluator
 
 from conftest import random_product_state, random_state
@@ -125,8 +129,6 @@ class TestRoofObjective:
         d = eigendecomposition_start(rho)
         assert roof_objective(d, concurrence_spec()) >= wootters_oracle(rho) - 1e-9
 
-    # extra_terms=0 keeps the shot-noise solve short: every objective call
-    # samples every member of the decomposition.
     @pytest.mark.parametrize("shots", [None, ShotPlan(500, 13)], ids=["exact", "shots"])
     def test_roof_value_is_the_objective_of_its_decomposition(self, shots):
         cfg = RoofConfig(extra_terms=0, restarts=2, max_iterations=30, shots=shots)
@@ -234,82 +236,182 @@ class TestConvexRoofEstimate:
         assert res.decomposition.reconstructs(rho)
 
 
-def solve_objective(monkeypatch, rho, spec, cfg):
-    """The batched objective convex_roof_estimate(rho, spec, cfg) descends,
-    caught on its way into the descent."""
+def solve_start(monkeypatch, rho, spec, cfg):
+    """The batched objective and the starting isometries that
+    convex_roof_estimate(rho, spec, cfg) descends from, caught on their way
+    into the descent."""
     caught = []
-    descend = convexroof._coordinate_descent
+    descend = convexroof._conjugate_gradient
 
-    def spy(f, *args):
-        caught.append(f)
-        return descend(f, *args)
+    def spy(f, w0, *args):
+        caught.append((f, w0))
+        return descend(f, w0, *args)
 
-    monkeypatch.setattr(convexroof, "_coordinate_descent", spy)
-    convex_roof_estimate(rho, spec, dataclasses.replace(cfg, max_iterations=1, restarts=1))
+    monkeypatch.setattr(convexroof, "_conjugate_gradient", spy)
+    convex_roof_estimate(rho, spec, dataclasses.replace(cfg, max_iterations=1))
     monkeypatch.undo()
     return caught[0]
 
 
+def random_isometries(rng, b, k, r):
+    return convexroof._retract(rng.normal(size=(b, k, r)) + 1j * rng.normal(size=(b, k, r)))
+
+
 class TestCoordinateDescent:
+    """The batched search: Riemannian conjugate gradients over isometries,
+    one row per restart. The class keeps the name of the search it replaced,
+    so that its test IDs stay stable."""
+
     def test_quadratic_bowl(self):
-        f = lambda x: np.sum((x - 1.0) ** 2, axis=1)
-        x, fx, (history,), (converged,), _ = _coordinate_descent(
-            f, np.zeros((1, 3)), 200, 1e-8
+        # tr(W^dagger A W) over 5 x 2 isometries is least, at the sum of the
+        # two smallest eigenvalues, on A's lowest eigenspace
+        rng = np.random.default_rng(5)
+        q = random_isometries(rng, 1, 5, 5)[0]
+        a = q @ np.diag([0.3, 0.7, 1.5, 2.0, 4.0]) @ q.conj().T
+
+        def f(w):
+            aw = a @ w
+            return (w.conj() * aw).real.sum(axis=(1, 2)), 2.0 * aw
+
+        w, fw, (history,), (converged,), _ = _conjugate_gradient(
+            f, random_isometries(rng, 1, 5, 2), 500, 1e-8
         )
-        assert fx[0] < 1e-10
+        assert abs(fw[0] - 1.0) < 1e-12
         assert converged
         assert np.all(np.diff(history) <= 1e-15)
+        np.testing.assert_allclose(w[0].conj().T @ w[0], np.eye(2), atol=1e-14)
 
     def test_each_row_descends_as_it_would_alone(self, monkeypatch):
         rho = random_rank2_state(np.random.default_rng(21))
-        f = solve_objective(monkeypatch, rho, concurrence_spec(), RoofConfig(extra_terms=1))
-        x0 = np.vstack([np.zeros(9), np.random.default_rng(4).normal(0.0, 0.6, (3, 9))])
-        together = _coordinate_descent(f, x0, 40, 1e-3)
+        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), RoofConfig(extra_terms=1))
+        w0 = np.concatenate([np.eye(3, 2)[None], random_isometries(np.random.default_rng(4), 3, 3, 2)])
+        together = _conjugate_gradient(f, w0, 40, 1e-3)
         assert np.all(together[1] > 1e-12)            # no row stops a later one
         assert len(set(together[4])) > 1              # rows leave the batch at different iterations
-        for i, row in enumerate(x0):
-            alone = _coordinate_descent(f, row[None], 40, 1e-3)
+        for i, row in enumerate(w0):
+            alone = _conjugate_gradient(f, row[None], 40, 1e-3)
             np.testing.assert_array_equal(together[0][i], alone[0][0])
             assert together[1][i] == alone[1][0]
             assert together[2][i] == alone[2][0]
             assert (together[3][i], together[4][i]) == (alone[3][0], alone[4][0])
 
-    def test_a_row_ending_below_1e_12_stops_every_row(self):
-        # a quartic bowl, so that no row lands on the minimum in one sweep
-        f = lambda x: np.sum((x - 1.0) ** 2 + 0.1 * (x - 1.0) ** 4, axis=1)
-        x0 = np.array([[3.7, -2.2], [1.0, 1.0], [-1.3, 4.1]])
-        x, fx, history, converged, iterations = _coordinate_descent(f, x0, 200, 1e-8)
-        assert (fx[1], converged[1]) == (0.0, True)
-        # every row stops at the iteration where row 1 reaches 0, undone ones unconverged
-        assert iterations.tolist() == [1, 1, 1]
-        assert [len(h) for h in history] == [2, 2, 2]
-        assert not converged[0] and not converged[2]
-        for row in (0, 2):
-            alone = _coordinate_descent(f, x0[row:row + 1], 200, 1e-8)
-            assert alone[4][0] > 1
+    def test_a_row_ending_below_1e_12_stops_every_row(self, monkeypatch):
+        # a separable mixture: its roof is 0, and one restart reaches it first
+        rng = np.random.default_rng(1)
+        rho = MixedState.from_ensemble(tuple((1 / 3, random_product_state(rng, 2)) for _ in range(3)))
+        f, w0 = solve_start(monkeypatch, rho, concurrence_spec(), RoofConfig(restarts=4, seed=7))
+        w, fw, history, converged, iterations = _conjugate_gradient(f, w0, 500, 1e-6)
+        (zero,) = np.flatnonzero(fw < 1e-12)
+        stop = iterations[zero]
+        cut = 0
+        for row in set(range(len(w0))) - {zero}:
+            alone = _conjugate_gradient(f, w0[row:row + 1], 500, 1e-6)
             # up to the stop, the row descends exactly as it would alone
             assert history[row] == alone[2][0][:len(history[row])]
+            if alone[4][0] > stop:
+                assert iterations[row] == stop and not converged[row]
+                cut += 1
+        assert cut
 
     @pytest.mark.parametrize("shots", [None, ShotPlan(300, 9)], ids=["exact", "shots"])
     def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, shots):
         rho = random_rank2_state(np.random.default_rng(8))
-        f = solve_objective(monkeypatch, rho, concurrence_spec(), RoofConfig(shots=shots))
-        # the zero row is the spectral ensemble, padded with members of weight 0
-        x = np.vstack([np.zeros(16), np.random.default_rng(2).normal(0.0, 0.6, (4, 16))])
-        np.testing.assert_array_equal(f(x), np.concatenate([f(row[None]) for row in x]))
+        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), RoofConfig(shots=shots))
+        # the first row is the spectral ensemble, padded with members of weight 0
+        w = np.concatenate([np.eye(4, 2)[None], random_isometries(np.random.default_rng(2), 4, 4, 2)])
+        values, grads = f(w)
+        for i, row in enumerate(w):
+            value, grad = f(row[None])
+            assert value[0] == values[i]
+            np.testing.assert_array_equal(grad[0], grads[i])
+        # with shots too, the descent runs on the exact pairs
+        exact = convexroof._steered_objective(convexroof._spectral(rho), concurrence_spec())(w)
+        np.testing.assert_array_equal(values, exact[0])
 
     def test_werner_solve_makes_few_evaluator_calls(self, monkeypatch):
-        calls = []
-        values_batch = EmbeddedEvaluator.values_batch
+        rows, evaluator_calls = [], []
+        steered = convexroof._steered_objective
 
-        def count(self, tilde):
-            calls.append(len(tilde))
-            return values_batch(self, tilde)
+        def count_rows(scaled, spec):
+            f = steered(scaled, spec)
 
-        monkeypatch.setattr(EmbeddedEvaluator, "values_batch", count)
+            def counted(w):
+                rows.append(w.shape[0] * w.shape[1])
+                return f(w)
+
+            return counted
+
+        monkeypatch.setattr(convexroof, "_steered_objective", count_rows)
+        monkeypatch.setattr(EmbeddedEvaluator, "antilinear_batch",
+                            lambda self, vecs: evaluator_calls.append(len(vecs)))
         convex_roof_estimate(werner_state(0.8), concurrence_spec())
-        # one call per sweep position and kind of probe, not one per point
-        assert len(calls) <= 6000
+        # member rows of the r x r forms; no 2^N member vector is evaluated
+        assert sum(rows) <= 20_000
+        assert not evaluator_calls
+
+
+GHZ = np.zeros(8, dtype=complex)
+GHZ[[0, 7]] = 1 / np.sqrt(2)
+W_STATE = np.zeros(8, dtype=complex)
+W_STATE[[1, 2, 4]] = 1 / np.sqrt(3)
+
+
+def ghz_w_mixture(p):
+    return MixedState(p * np.outer(GHZ, GHZ.conj()) + (1 - p) * np.outer(W_STATE, W_STATE.conj()))
+
+
+class TestGhzWRoof:
+    """The 3-tangle roof of p|GHZ><GHZ| + (1-p)|W><W| is 0 below
+    p0 ~ 0.627 (Lohmayer, Osterloh, Siewert & Uhlmann, PRL 97, 260502)."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    def test_zero_below_p0(self, p):
+        assert convex_roof_estimate(ghz_w_mixture(p), three_tangle_spec()).value <= 1e-6
+
+    # the values the coordinate search found with the default config
+    @pytest.mark.parametrize("p, before", [(0.7, 0.19066740905808754), (0.9, 0.7302008146056176)])
+    def test_no_worse_above_p0(self, p, before):
+        assert convex_roof_estimate(ghz_w_mixture(p), three_tangle_spec()).value <= before + 1e-6
+
+    def test_two_restarts_leave_the_spectral_start(self):
+        # the spectral decomposition has a zero gradient here, at the value p
+        res = convex_roof_estimate(ghz_w_mixture(0.3), three_tangle_spec(), RoofConfig(restarts=2))
+        assert not (res.value > 0.3 - 1e-9 and res.converged)
+
+
+class TestShotNoiseRoof:
+    def test_descent_runs_on_exact_pairs_and_samples_once(self):
+        # the sampled value of the exact minimiser is unbiased around the roof 0.7
+        values = [
+            convex_roof_estimate(werner_state(0.8), concurrence_spec(), RoofConfig(
+                restarts=2, max_iterations=40, seed=s, shots=ShotPlan(100, s))).value
+            for s in range(1, 21)
+        ]
+        assert np.mean(values) == pytest.approx(0.7, abs=0.03)
+
+    def test_shot_roof_is_fast(self):
+        cfg = RoofConfig(restarts=2, max_iterations=30, shots=ShotPlan(500, 13))
+        start = time.perf_counter()
+        convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg)
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("spec", [concurrence_spec(), second_order_spec(), three_tangle_spec(),
+                                  n_qubit_spec(4), n_qubit_spec(5)], ids=lambda s: s.name)
+def test_riemannian_gradient_matches_central_differences(spec):
+    rng = np.random.default_rng(31)
+    dim = 1 << spec.n_qubits
+    a = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    rho = MixedState(a @ a.conj().T / np.linalg.norm(a) ** 2)
+    f = convexroof._steered_objective(convexroof._spectral(rho), spec)
+    w = random_isometries(rng, 1, 5, 3)
+    grad = convexroof._tangent(w, f(w)[1])
+    h = 1e-5
+    for _ in range(4):
+        step = convexroof._tangent(w, rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape))
+        ahead, behind = (f(convexroof._retract(w + s * h * step))[0][0] for s in (1, -1))
+        analytic = convexroof._inner(grad, step)[0]
+        assert abs((ahead - behind) / (2 * h) - analytic) <= 1e-6 * abs(analytic)
 
 
 class TestEfficiencyCheck:
