@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedsim
-from embedsim import ConfigError, NumericalIntegrityError, expand_to_observables
+from embedsim import ConfigError, NumericalIntegrityError, evolve_enlarged, expand_to_observables
 from embedsim.cli import (
     MAX_EVOLUTION_STEPS,
     MAX_QUBITS,
@@ -203,6 +204,61 @@ class TestRun:
         assert len(records) == 8
         # H on the direct path, and H~ through its 2-qubit ancilla-Y sector
         assert sorted(calls) == [(4, 4), (4, 4)]
+
+    def test_a_seven_qubit_trajectory_builds_one_matrix_per_path_and_no_eigh(
+            self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        labels = {"".join(rng.choice(list("IXYZ"), 7)) for _ in range(21)} - {"I" * 7}
+        hamiltonian = [{"coeff": float(rng.uniform(-1.0, 1.0)), "pauli": p} for p in sorted(labels)]
+        payload = {"workflow": "evolve", "initial_state": "ghz", "n_qubits": 7,
+                   "hamiltonian": hamiltonian, "monotone": "n_qubit",
+                   "times": [0.1 * (k + 1) for k in range(8)]}
+        eigh, dense = np.linalg.eigh, embedsim.PauliSum.dense
+        eighs, built = [], []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
+        monkeypatch.setattr(embedsim.PauliSum, "dense",
+                            lambda self: built.append(self.to_records()) or dense(self))
+        out = tmp_path / "out.json"
+        assert main(["--config", write_config(tmp_path, payload), "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 8
+        assert eighs == []
+        h = embedsim.PauliSum.from_records(hamiltonian)
+        sector = embedsim.embed_hamiltonian(h).sector
+        assert sorted(built, key=str) == sorted([h.to_records(), sector.to_records()], key=str)
+
+    @pytest.mark.parametrize("hamiltonian", [
+        [{"coeff": 0.5, "pauli": "XY"}, {"coeff": -0.5, "pauli": "XY"}],  # cancels to no term
+        [{"coeff": 0.7, "pauli": "II"}],
+    ], ids=["empty-sum", "identity-only"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_trivial_hamiltonian_keeps_the_initial_state(self, tmp_path, capsys,
+                                                           hamiltonian, method):
+        # Under the identity a global phase turns the (<Z O>, <X O>) pairs, so
+        # only the monotone values are compared there.
+        payload = {**WORKED_EXAMPLE_EVOLVE, "initial_state": [0.6, 0, [0, 0.48], 0.64],
+                   "hamiltonian": hamiltonian, "evolution": {"method": method, "steps": 2}}
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        first, *rest = json.loads(capsys.readouterr().out)
+        assert first["t"] == 0.0 and len(rest) == 5
+        for record in rest:
+            if len(hamiltonian) == 2:
+                assert {**record, "t": 0.0, "duration_ms": None} == {**first, "duration_ms": None}
+            for key in ("value_direct", "value_embedded"):
+                assert record[key] == pytest.approx(first[key], abs=1e-12)
+
+    def test_the_evolution_time_is_split_over_the_moving_records(self, monkeypatch):
+        # One evolution call per path serves every record with t != 0.
+        from embedsim import cli
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return evolve_enlarged(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve_enlarged", slow)
+        records = run(parse_config({**WORKED_EXAMPLE_EVOLVE, "times": [0.0, 0.5, 0.0, 1.0]}))
+        durations = [r.duration_ms for r in records]
+        assert durations[0] < 100 and durations[2] < 100
+        assert durations[1] >= 100 and durations[3] >= 100
 
     def test_evolve_with_shots_evaluates_each_observable_once(self, monkeypatch):
         # per_observable feeds both value_embedded and the shot sampler.

@@ -19,6 +19,7 @@ from embedsim import (
     evolve_enlarged,
     evolve_exact,
     evolve_trotter,
+    evolution,
     reality_residual,
     unembed_state,
 )
@@ -490,3 +491,85 @@ def test_evolve_holds_the_norm_relative_to_the_input(rng):
     for method in METHODS:
         out = evolve(s, h, 0.7, method, 4)
         assert abs(np.linalg.norm(out) - 3.0) <= 3.0 * NORM_ATOL
+
+
+def _projection(s, h, times):
+    """exp(-iHt) s for each t by the eigendecomposition of a fresh dense H."""
+    evals, vecs = np.linalg.eigh(h.dense())
+    coeffs = vecs.conj().T @ s
+    return np.array([vecs @ (np.exp(-1j * evals * t) * coeffs) for t in times])
+
+
+TIMES = [0.7, -1.3, 0.0, 0.7, 2.9, -0.2]  # negative, zero, repeated and unsorted
+
+
+class TestChebyshevSeries:
+    """Exact evolution of a list of times by one shared Chebyshev recurrence."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_spectrum_projection(self, rng, monkeypatch, n):
+        h, psi = random_pauli_sum(rng, n, max_terms=3 * n), random_state(rng, n).amplitudes
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(evolution, "SERIES_TERMS_PER_DIM", 64)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh called"))
+        out = evolve(psi, h, TIMES)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert out.shape == (len(TIMES), 1 << n)
+        assert np.max(np.abs(out - _projection(psi, h, TIMES))) <= 1e-12
+        assert np.max(np.abs(out[2] - psi)) <= 1e-15  # t = 0
+
+    def test_a_vector_of_times_is_the_stacked_scalar_calls(self, rng):
+        h, psi = random_pauli_sum(rng, 6, max_terms=12), random_state(rng, 6)
+        for method in METHODS:
+            rows = evolve(psi.amplitudes, h, TIMES, method, 3)
+            single = np.array([evolve(psi.amplitudes, h, t, method, 3) for t in TIMES])
+            if method == "exact":  # a shorter series for the smaller times
+                assert np.max(np.abs(rows - single)) <= 1e-14
+            else:
+                assert np.array_equal(rows, single)
+            states = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), TIMES, method, 3)
+            for state, t in zip(states, TIMES):
+                one = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), t, method, 3)
+                assert np.max(np.abs(state.amplitudes - one.amplitudes)) <= (
+                    1e-14 if method == "exact" else 0.0)
+
+    def test_the_coefficients_sum_to_the_exponential(self, rng):
+        # sum_k c_k(x) T_k(y) = exp(-ixy), with T_k(y) = cos(k arccos y).
+        x = rng.uniform(-20.0, 20.0, size=64)
+        terms = evolution._series_terms(np.max(np.abs(x)), 10**4)
+        coeffs = evolution._chebyshev_coefficients(x, terms)
+        for y in rng.uniform(-1.0, 1.0, size=16):
+            chebyshev = np.cos(np.arange(terms) * np.arccos(y))
+            assert np.max(np.abs(coeffs @ chebyshev - np.exp(-1j * x * y))) <= 1e-14
+
+    def test_the_cost_switch_falls_back_to_the_spectrum(self, rng):
+        # 2 qubits to t = 2.5: the series would need about 30 terms for 4 amplitudes.
+        h, psi = random_pauli_sum(rng, 2), random_state(rng, 2).amplitudes
+        out = evolve(psi, h, [0.3, 2.5])
+        assert "spectrum" in vars(h)
+        np.testing.assert_allclose(out, _projection(psi, h, [0.3, 2.5]), atol=1e-13)
+
+    def test_an_empty_sum_is_the_identity_without_a_matrix(self, monkeypatch):
+        h = PauliSum.from_terms([(0.4, "XZ"), (-0.4, "XZ")])
+        assert h.terms == ()
+        monkeypatch.setattr(PauliSum, "dense", lambda self: pytest.fail("dense built"))
+        s = np.array([0.6, 0.0, 0.0, 0.8j])
+        for method in METHODS:
+            assert np.array_equal(evolve(s, h, [0.5, -3.0], method, 2), [s, s])
+
+    def test_an_identity_only_sum_is_a_global_phase(self, rng):
+        # H / sum|c| = I: every T_k(H / sum|c|) s is s itself.
+        h, s = PauliSum.from_terms([(0.7, "IIIII")]), random_state(rng, 5).amplitudes
+        out = evolve(s, h, TIMES)
+        assert "spectrum" not in vars(h)
+        np.testing.assert_allclose(out, np.exp(-0.7j * np.array(TIMES))[:, None] * s, atol=1e-14)
+
+    def test_accumulates_without_a_terms_by_states_array(self):
+        # 10 qubits and 8 times: beyond the dense matrix, the 8 rows, the
+        # recurrence's three buffers and small coefficient arrays.
+        h, times = _chain(10), [0.1 * (k + 1) for k in range(8)]
+        s = np.zeros(1 << 10, dtype=complex)
+        s[0] = s[-1] = 2**-0.5
+        evolve_exact(s, h, times)  # builds the per-string kernels, which are kept
+        dense = (1 << 10) ** 2 * 16
+        assert _peak_bytes(lambda: evolve_exact(s, h, times)) - dense < (len(times) + 4) * s.nbytes
