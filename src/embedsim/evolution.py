@@ -6,8 +6,8 @@ sequence shares one Chebyshev recurrence v_{k+1} = 2 (H / L) v_k - v_{k-1},
 L = sum |c| >= ||H||, and each time sums its own coefficients
 c_k(Lt) = (2 - delta_k0) (-i)^k J_k(Lt) against it (Tal-Ezer & Kosloff, J.
 Chem. Phys. 81, 3967 (1984)); the matvec is the dense matrix of H. Where
-the series would need more than SERIES_TERMS_PER_DIM * 2^n terms, one
-`eigh` is cheaper, and every time is projected onto `PauliSum.spectrum`.
+the series, for its number of terms and of times, would cost more than one
+`eigh`, every time is projected onto `PauliSum.spectrum`.
 
 The product formulas propagate each time on its own, by one schedule: a
 step is the maximal runs of consecutive commuting terms
@@ -42,31 +42,46 @@ from .pauli import NORM_ATOL, PauliSum, _check_dense, _checked, _kernel, _norm
 METHODS = ("exact", "trotter1", "trotter2")
 # sum |c| * |t| at which one ulp of a phase lambda*t reaches order one radian
 PHASE_LIMIT = 2.0**52
-# Chebyshev terms per amplitude beyond which one `eigh` is cheaper. Measured
-# for 8 times on one thread of a 2-core Intel Xeon, numpy 2.4: the two cost
-# the same at 0.4 to 2.1 terms per amplitude for n = 1...10, and at 1.2 or
-# more from n = 7 on, where eigh takes milliseconds.
+# The series costs about K (2^n + SERIES_TIME_COST * T) 2^n multiply-adds
+# for K terms and T times (a time's share is its row of each block: one
+# vector-matrix product and the numpy calls around it), one `eigh` about
+# SERIES_TERMS_PER_DIM * 8^n; the projection of the times onto the vectors
+# is left out, which only favours eigh. Measured on one thread of a 2-core
+# Intel Xeon, numpy 2.4, for n = 7...10 and T = 1, 8, 64, 512: the two cost
+# the same at K / 2^n = 1.2 to 2.1 for T = 1, 1.0 to 1.7 for T = 8, 0.55 to
+# 0.97 for T = 64 and 0.24 to 0.36 for T = 512, each at or above what the
+# rule allows; below n = 7 eigh takes under a millisecond.
 SERIES_TERMS_PER_DIM = 1
+SERIES_TIME_COST = 4
 # bound on the dropped tail sum_{k >= K} |c_k| of the series
 SERIES_TOL = 1e-16
+# amplitudes in one block of series terms: about where the fixed cost of a
+# numpy call matches the arithmetic of a state of that size. From 2^10
+# amplitudes on a block is one term, and the series holds three state-sized
+# buffers besides its rows.
+SERIES_BLOCK = 1 << 10
 
 
 def evolve_exact(s: np.ndarray, h: PauliSum, t: float | Sequence[float]) -> np.ndarray:
     """exp(-iHt) @ s up to rounding: one state for a float t, one row per time
     for a 1-D sequence.
 
-    All times share one Chebyshev recurrence on h.dense(). When the largest
-    time needs more than SERIES_TERMS_PER_DIM * 2^n terms, every time is
-    projected onto `PauliSum.spectrum` instead, which is diagonalised once per
-    PauliSum and reused at every later call. Both need the dense matrix, so
-    a register beyond DENSE_QUBIT_CAP is refused first.
+    All times share one Chebyshev recurrence on h.dense(). When the series
+    would cost more than one `eigh` (SERIES_TERMS_PER_DIM, SERIES_TIME_COST),
+    every time is projected onto `PauliSum.spectrum` instead, which is
+    diagonalised once per PauliSum and reused at every later call. The series
+    keeps nothing between calls: a caller that evolves one time per call on
+    the same sum rebuilds the matrix and reruns the recurrence each time, so
+    a trajectory is cheapest as one list. Both need the dense matrix, so a
+    register beyond DENSE_QUBIT_CAP is refused first.
     """
     s = _checked(s, h.n)
     _check_dense(h.n)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     norm = sum(abs(c) for c, _ in h.terms)
-    terms = _series_terms(norm * np.max(np.abs(times), initial=0.0),
-                          SERIES_TERMS_PER_DIM << h.n)
+    dim = 1 << h.n
+    most = SERIES_TERMS_PER_DIM * dim * dim // (dim + SERIES_TIME_COST * times.size)
+    terms = _series_terms(norm * np.max(np.abs(times), initial=0.0), most)
     if terms is not None:
         rows = _chebyshev(s, h, norm, times, terms)
     else:
@@ -105,34 +120,43 @@ def _chebyshev_coefficients(x: np.ndarray, terms: int) -> np.ndarray:
 
 def _chebyshev(s: np.ndarray, h: PauliSum, norm: float, times: np.ndarray,
                terms: int) -> np.ndarray:
-    """sum_k c_k(norm * t) T_k(H / norm) s for every t, one row each. The rows
-    are accumulated as the recurrence runs, through three state-sized buffers,
-    so no (terms, 2^n) array is built, and H is not divided by `norm`."""
+    """sum_k c_k(norm * t) T_k(H / norm) s for every t, one row each, and H is
+    not divided by `norm`.
+
+    The recurrence fills a block of at most max(1, SERIES_BLOCK >> n) terms
+    after the two it carries, and each row adds the block by one
+    vector-matrix product written into the dead first carried slot. So a
+    time costs two numpy calls per block, not per term, and no (terms, 2^n)
+    array is built: besides the rows, width + 2 state-sized buffers."""
     coeffs = _chebyshev_coefficients(norm * times, terms)
-    # The matrix goes first, as its build makes state-sized temporaries. One
-    # term (any time under an empty sum) needs neither the matrix nor 1 / norm.
-    m = h.dense() if terms > 1 else None
-    prev, rows = s.astype(complex), np.empty((times.size, s.size), complex)
-    for row, c in zip(rows, coeffs[:, 0]):  # row by row: a broadcast takes ufunc buffers
-        np.multiply(prev, c, out=row)  # T_0 = I
-    if m is None:
-        return rows
-    cur = m @ prev
-    cur /= norm
-    scratch = np.empty_like(cur)
-    for k in range(1, terms):
-        if k > 1:
-            np.matmul(m, cur, out=scratch)
-            scratch *= 2.0 / norm
-            scratch -= prev
-            prev, cur, scratch = cur, scratch, prev
-        for row, c in zip(rows, coeffs[:, k]):
-            row += np.multiply(cur, c, out=scratch)
+    if terms == 1:  # any time under an empty sum: no matrix and no 1 / norm
+        return np.multiply.outer(coeffs[:, 0], s)
+    m = h.dense()  # first, as its build makes state-sized temporaries
+    width = min(terms, max(1, SERIES_BLOCK >> h.n))
+    v = np.empty((width + 2, s.size), complex)  # T_{k0-2} s, T_{k0-1} s, then the block
+    rows = np.zeros((times.size, s.size), complex)
+    for k0 in range(0, terms, width):
+        size = min(width, terms - k0)
+        for j in range(2, size + 2):  # slot j holds T_k s, k = k0 + j - 2
+            if k0 + j == 2:
+                v[j] = s
+                continue
+            np.matmul(m, v[j - 1], out=v[j])
+            if k0 + j == 3:
+                v[j] /= norm
+            else:
+                v[j] *= 2.0 / norm
+                v[j] -= v[j - 2]
+        for row, c in zip(rows, coeffs[:, k0:k0 + size]):
+            row += np.matmul(c, v[2:size + 2], out=v[0])
+        v[0] = v[size]  # carry T_{k-1} s and T_k s, in this order when size is 1
+        v[1] = v[size + 1]
     return rows
 
 
 def evolve_trotter(
-    s: np.ndarray, h: PauliSum, t: float, steps: int, order: int = 1
+    s: np.ndarray, h: PauliSum, t: float, steps: int, order: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Product-formula propagation over the commuting runs of h.
 
@@ -142,9 +166,10 @@ def evolve_trotter(
     back is applied once at the angle n * dt, dt = t / steps / order: its
     terms commute, so this is the unmerged operator up to rounding. Each
     factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s is written in place into
-    one complex buffer through one complex scratch buffer. A real s comes
-    back complex; its imaginary part is exactly zero when every -iP is real,
-    as for an EmbeddedHamiltonian.
+    one complex buffer through one complex scratch buffer: `out` if given
+    (a complex array of s's shape, not s itself), else a new one. A real s
+    comes back complex; its imaginary part is exactly zero when every -iP is
+    real, as for an EmbeddedHamiltonian.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -155,7 +180,10 @@ def evolve_trotter(
     step = ahead + ahead[::-1] if order == 2 else ahead
     dt = t / steps / order
     factors = functools.cache(lambda i, n: _factors(runs[i], dt * n))
-    out = np.array(s, dtype=complex)
+    if out is None:
+        out = np.array(s, dtype=complex)
+    else:
+        out[...] = s
     scratch = np.empty_like(out)
     schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
     for i, repeats in itertools.groupby(schedule):
@@ -202,7 +230,9 @@ def evolve(
         rows = evolve_exact(s, h, times)
     else:
         order = 1 if method == "trotter1" else 2
-        rows = [evolve_trotter(s, h, u, steps, order) for u in times.tolist()]
+        rows = np.empty((times.size, np.size(s)), complex)
+        for row, u in zip(rows, times.tolist()):
+            evolve_trotter(s, h, u, steps, order, out=row)
     norm = _norm(s)
     for u, row in zip(times.tolist(), rows):
         drift = abs(_norm(row) - norm)
@@ -211,7 +241,7 @@ def evolve(
                 f"{method} evolution drifted the norm by {drift:.3e} at t={u}, "
                 f"beyond {NORM_ATOL} of the input norm"
             )
-    return rows[0] if np.ndim(t) == 0 else np.asarray(rows)
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
 def evolve_enlarged(

@@ -43,8 +43,10 @@ def drift_propagator(monkeypatch, method, scale, only=None):
     with `only`, just the calls made with that Hamiltonian object."""
     inner = evolve_exact if method == "exact" else evolve_trotter
 
-    def drifting(s, h, *args):
-        return inner(s, h, *args) * (scale if only is None or h is only else 1.0)
+    def drifting(s, h, *args, **kwargs):
+        out = inner(s, h, *args, **kwargs)  # in place, as evolve may pass `out`
+        out *= scale if only is None or h is only else 1.0
+        return out
 
     monkeypatch.setattr(evolution, inner.__name__, drifting)
 

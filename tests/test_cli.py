@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,44 @@ class TestRun:
         durations = [r.duration_ms for r in records]
         assert durations[0] < 100 and durations[2] < 100
         assert durations[1] >= 100 and durations[3] >= 100
+
+    @pytest.mark.parametrize("method, sizes", [("exact", [4, 3]), ("trotter2", [1] * 7)])
+    def test_exact_takes_up_to_2_to_the_n_times_per_call_and_trotter_one(
+            self, monkeypatch, method, sizes):
+        from embedsim import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "evolve_enlarged",
+                            lambda s, h, t, **kw: calls.append(len(t)) or evolve_enlarged(s, h, t, **kw))
+        times = [0.0, 0.3, 0.6, 0.0, 0.9, 1.2, 1.5, 1.8, 2.1]
+        config = parse_config({**WORKED_EXAMPLE_EVOLVE, "times": times,
+                               "evolution": {"method": method, "steps": 2}})
+        records = run(config)
+        assert calls == sizes
+        assert [r.t for r in records] == times
+
+    def test_a_trotter_trajectory_holds_a_few_states_whatever_its_length(self):
+        # One time per call: 16 times peak where 4 do, within one state size.
+        n = 12
+        hamiltonian = ([{"coeff": 0.3, "pauli": "I" * k + "XX" + "I" * (n - 2 - k)}
+                        for k in range(n - 1)]
+                       + [{"coeff": 0.5, "pauli": "I" * k + "Z" + "I" * (n - 1 - k)}
+                          for k in range(n)])
+        peaks = []
+        for count in (4, 16):
+            config = parse_config({
+                "workflow": "evolve", "initial_state": "ghz", "n_qubits": n,
+                "hamiltonian": hamiltonian, "monotone": "n_qubit",
+                "times": [0.1 * (k + 1) for k in range(count)],
+                "evolution": {"method": "trotter2", "steps": 2}})
+            run(config)  # builds the per-string kernels, which are kept
+            tracemalloc.start()
+            try:
+                run(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16 << n
 
     def test_evolve_with_shots_evaluates_each_observable_once(self, monkeypatch):
         # per_observable feeds both value_embedded and the shot sampler.

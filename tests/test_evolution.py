@@ -511,12 +511,35 @@ class TestChebyshevSeries:
         h, psi = random_pauli_sum(rng, n, max_terms=3 * n), random_state(rng, n).amplitudes
         eigh = np.linalg.eigh
         monkeypatch.setattr(evolution, "SERIES_TERMS_PER_DIM", 64)
+        monkeypatch.setattr(evolution, "SERIES_TIME_COST", 0)
         monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh called"))
         out = evolve(psi, h, TIMES)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert out.shape == (len(TIMES), 1 << n)
         assert np.max(np.abs(out - _projection(psi, h, TIMES))) <= 1e-12
         assert np.max(np.abs(out[2] - psi)) <= 1e-15  # t = 0
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 64])
+    def test_any_block_width_gives_the_same_rows(self, rng, monkeypatch, width):
+        # Blocks of 1, 2, 3 and 5 terms leave a partial last block; 64 takes all.
+        h, psi = random_pauli_sum(rng, 5, max_terms=15), random_state(rng, 5).amplitudes
+        monkeypatch.setattr(evolution, "SERIES_BLOCK", width << 5)
+        monkeypatch.setattr(evolution, "SERIES_TERMS_PER_DIM", 64)
+        monkeypatch.setattr(evolution, "SERIES_TIME_COST", 0)
+        out = evolve(psi, h, TIMES)
+        assert "spectrum" not in vars(h)
+        assert np.max(np.abs(out - _projection(psi, h, TIMES))) <= 1e-12
+
+    def test_a_long_list_of_times_goes_to_the_spectrum(self, rng):
+        # 7 qubits to t = 0.8 need a few dozen terms: the series for 8 times,
+        # one eigh for 512, where each time's share of the series outweighs it.
+        h, psi = random_pauli_sum(rng, 7, max_terms=21), random_state(rng, 7).amplitudes
+        short, long = np.linspace(0.1, 0.8, 8), np.linspace(0.1, 0.8, 512)
+        evolve(psi, h, short)
+        assert "spectrum" not in vars(h)
+        out = evolve(psi, h, long)
+        assert "spectrum" in vars(h)
+        assert np.max(np.abs(out[::73] - _projection(psi, h, long[::73]))) <= 1e-12
 
     def test_a_vector_of_times_is_the_stacked_scalar_calls(self, rng):
         h, psi = random_pauli_sum(rng, 6, max_terms=12), random_state(rng, 6)
@@ -559,7 +582,7 @@ class TestChebyshevSeries:
 
     def test_an_identity_only_sum_is_a_global_phase(self, rng):
         # H / sum|c| = I: every T_k(H / sum|c|) s is s itself.
-        h, s = PauliSum.from_terms([(0.7, "IIIII")]), random_state(rng, 5).amplitudes
+        h, s = PauliSum.from_terms([(0.7, "IIIIIII")]), random_state(rng, 7).amplitudes
         out = evolve(s, h, TIMES)
         assert "spectrum" not in vars(h)
         np.testing.assert_allclose(out, np.exp(-0.7j * np.array(TIMES))[:, None] * s, atol=1e-14)
