@@ -13,8 +13,11 @@ The product formulas propagate each time on its own, by one schedule: a
 step is the maximal runs of consecutive commuting terms
 (`PauliSum.commuting_runs`) in stored order, and at second order the same
 runs in reverse; the steps are chained, and a run repeated back to back is
-applied once at the summed angle. The merged product is the same operator,
-up to rounding. Every factor rotates one complex buffer in place.
+applied once at the summed angle. A run with at least PHASE_RUN_TERMS
+I/Z-only terms applies them together as one diagonal phase exp(-i a d)
+(`PauliSum._phase_runs`), then its other terms one by one. The merged and
+fused product is the same operator, up to rounding. Every factor rotates one
+complex buffer in place.
 
 Enlarged-space trajectories stay structurally real. Every embedded term
 conserves Y on the ancilla, so every method evolves the component x - iy of
@@ -161,25 +164,29 @@ def evolve_trotter(
     """Product-formula propagation over the commuting runs of h.
 
     One step applies the runs (`PauliSum.commuting_runs`) in stored order,
-    at order 2 followed by the same runs in reverse, and each run's terms in
-    stored order. The steps are chained, and a run repeated n times back to
-    back is applied once at the angle n * dt, dt = t / steps / order: its
-    terms commute, so this is the unmerged operator up to rounding. Each
-    factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s is written in place into
-    one complex buffer through one complex scratch buffer: `out` if given
-    (a complex array of s's shape, not s itself), else a new one. A real s
-    comes back complex; its imaginary part is exactly zero when every -iP is
-    real, as for an EmbeddedHamiltonian.
+    at order 2 followed by the same runs in reverse. The steps are chained,
+    and a run repeated n times back to back is applied once at the angle
+    a = n * dt, dt = t / steps / order. Within a run, the I/Z-only terms of a
+    run that has at least PHASE_RUN_TERMS of them act first, together, as
+    s * exp(-i a d) with d = sum c_j signs_j (`PauliSum._phase_runs`, kept up
+    to KERNEL_CACHE_QUBITS qubits), and the other terms follow in stored
+    order. The terms of a run commute, so this is the unmerged operator up
+    to rounding. Each factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s, and
+    each phase, is written in place into one complex buffer through one
+    complex scratch buffer: `out` if given (a complex array of s's shape,
+    not s itself), else a new one. A real s comes back complex; its
+    imaginary part is exactly zero when every -iP is real, as for an
+    EmbeddedHamiltonian, which has no I/Z-only term.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    s, runs = _checked(s, h.n), h.commuting_runs
+    s, runs = _checked(s, h.n), h._phase_runs
     ahead = list(range(len(runs)))
     step = ahead + ahead[::-1] if order == 2 else ahead
     dt = t / steps / order
-    factors = functools.cache(lambda i, n: _factors(runs[i], dt * n))
+    factors = functools.cache(lambda i, n: _factors(runs[i][1], dt * n))
     if out is None:
         out = np.array(s, dtype=complex)
     else:
@@ -187,7 +194,13 @@ def evolve_trotter(
     scratch = np.empty_like(out)
     schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
     for i, repeats in itertools.groupby(schedule):
-        for cos, w, k in factors(i, sum(1 for _ in repeats)):
+        n, d = sum(1 for _ in repeats), runs[i][0]
+        if d is not None:  # exp(-i a d), built in the scratch buffer
+            np.multiply(d, -dt * n, out=scratch.real)
+            np.sin(scratch.real, out=scratch.imag)
+            np.cos(scratch.real, out=scratch.real)
+            out *= scratch
+        for cos, w, k in factors(i, n):
             np.multiply(k.image(out, scratch), w, out=scratch)
             out *= cos
             out += scratch
@@ -195,7 +208,8 @@ def evolve_trotter(
 
 
 def _factors(run, a: float) -> list:
-    """(cos(ca), -i sin(ca) i^{#Y}, kernel) per term of the run, in order."""
+    """(cos(ca), -i sin(ca) i^{#Y}, kernel) per term applied factor by factor
+    (all but a fused run's I/Z-only terms), in stored order."""
     kernels = ((c, _kernel(p.symbols)) for c, p in run)
     return [(np.cos(c * a), np.sin(c * a) * -1j * k.phase, k) for c, k in kernels]
 

@@ -73,21 +73,33 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 _SIGN_FACTORS = {"I": (1, 1), "X": (1, 1), "Z": (1, -1), "Y": (-1, 1)}
 KERNEL_CACHE_SIZE = 256  # distinct labels kept, 2^n bytes each
 KERNEL_CACHE_QUBITS = 16  # longer labels are built per use, so at most 16 MiB is kept
+# I/Z-only terms in a commuting run from which the product formulas apply
+# them as one diagonal phase (`PauliSum._phase_runs`). One phase costs as
+# much as 0.8, 2.0, 3.3, 3.9 and 3.6 Z factors at n = 6, 10, 14, 16 and 18
+# (one thread of a 2-core Intel Xeon, numpy 2.4).
+PHASE_RUN_TERMS = 4
 
 
 class _Kernel(NamedTuple):
     """P s = phase * signs * flip(s), flip reversing the X/Y axes (`axes`) of the
-    (2,)*n view of s, `signs` read-only int8 +/-1, already flipped; phase = i^{#Y}."""
+    (2,)*n view of s, `signs` read-only int8 +/-1, already flipped; phase = i^{#Y}.
+    `signed` is False for an I/X-only label, whose signs are all +1."""
 
     axes: tuple[slice, ...]
     signs: np.ndarray
     phase: complex
+    signed: bool
 
     def image(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = signs * flip(s), in place: P s up to its phase. Callers scale
-        the image, or the scalar they read from it."""
+        """out = signs * flip(s), in place: P s up to its phase; for an
+        unsigned label a flipped copy, with no int8 cast. Callers scale the
+        image, or the scalar they read from it."""
         shape = self.signs.shape
-        np.multiply(self.signs, s.reshape(shape)[self.axes], out=out.reshape(shape))
+        flipped = s.reshape(shape)[self.axes]
+        if self.signed:
+            np.multiply(self.signs, flipped, out=out.reshape(shape))
+        else:
+            np.copyto(out.reshape(shape), flipped)
         return out
 
 
@@ -103,6 +115,7 @@ def _build(symbols: str) -> _Kernel:
         axes=tuple(slice(None, None, -1 if c in "XY" else 1) for c in symbols),
         signs=_freeze(signs),
         phase=(1 + 0j, 1j, -1 + 0j, -1j)[symbols.count("Y") % 4],
+        signed=not set(symbols) <= set("IX"),
     )
 
 
@@ -217,6 +230,25 @@ class PauliSum:
             else:
                 runs.append([(term, xz)])
         return tuple(tuple(term for term, _ in run) for run in runs)
+
+    @cached_property
+    def _phase_runs(self) -> tuple[tuple[np.ndarray | None, tuple], ...]:
+        """(d, the other terms) per commuting run, computed on first use and
+        kept: d = sum c_j signs_j, read-only float64, over the run's I/Z-only
+        terms in stored order, so that they act together as exp(-i a d).
+        A run with fewer than PHASE_RUN_TERMS such terms, or any run above
+        KERNEL_CACHE_QUBITS qubits, keeps d = None and all its terms."""
+        out = []
+        for run in self.commuting_runs:
+            diagonal = [(c, p) for c, p in run if set(p.symbols) <= set("IZ")]
+            if self.n > KERNEL_CACHE_QUBITS or len(diagonal) < PHASE_RUN_TERMS:
+                out.append((None, run))
+                continue
+            d = np.zeros(1 << self.n)
+            for c, p in diagonal:
+                d += np.multiply(c, _kernel(p.symbols).signs.reshape(-1), dtype=float)
+            out.append((_freeze(d), tuple(t for t in run if t not in diagonal)))
+        return tuple(out)
 
     def to_records(self) -> list[dict]:
         return [{"coeff": c, "pauli": p.symbols} for c, p in self.terms]

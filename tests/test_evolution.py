@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from embedsim import (
     unembed_state,
 )
 from embedsim.evolution import METHODS, PHASE_LIMIT
+from embedsim import pauli
 from embedsim.pauli import DENSE_QUBIT_CAP, NORM_ATOL, _Kernel
 
 from conftest import drift_propagator, random_pauli_sum, random_real_state, random_state
@@ -219,6 +221,19 @@ def test_enlarged_trotter_is_bitwise_the_direct_result(rng):
                 out = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), t,
                                       f"trotter{order}", steps)
                 assert np.array_equal(out.amplitudes, np.concatenate([d.real, d.imag]))
+    # Field-heavy Ising-type sums, whose sector fuses the diagonal run: its
+    # phase is exp(+i a d) there, the conjugate, bit for bit.
+    for _ in range(10):
+        n = int(rng.integers(4, 7))
+        h, psi = _ising(rng, n), random_state(rng, n)
+        assert embed_hamiltonian(h).sector._phase_runs[-1][0] is not None
+        t = float(rng.uniform(-2.0, 2.0))
+        for order in (1, 2):
+            for steps in (1, 2, 5):
+                d = evolve_trotter(psi.amplitudes, h, t, steps, order)
+                out = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), t,
+                                      f"trotter{order}", steps)
+                assert np.array_equal(out.amplitudes, np.concatenate([d.real, d.imag]))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -291,6 +306,17 @@ def _chain(n, bond=0.4, field=0.3):
     return PauliSum.from_terms(terms + [(field, "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)])
 
 
+def _ising(rng, n):
+    """Transverse fields, then ZZ couplings with the all-Y string, then
+    longitudinal fields: runs of n, n and n terms, the last two fused."""
+    def term(label):
+        return float(rng.uniform(-1.0, 1.0)), label
+    xs = [term("I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
+    zzs = [term("I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
+    zs = [term("I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
+    return PauliSum.from_terms(xs + zzs + [term("Y" * n)] + zs)
+
+
 def _anticommuting_neighbours(rng, n, num):
     """A random sum in which every stored term anticommutes with the next."""
     terms = []
@@ -344,6 +370,42 @@ class TestMergedRuns:
         s[0] = 1.0
         evolve_trotter(s, h, 0.2, 4, order)
         assert len(image_calls) == passes
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fused_diagonal_runs_match_the_unmerged_product(self, rng, steps, order):
+        h = _ising(rng, 5)
+        assert [d is not None for d, _ in h._phase_runs] == [False, True, True]
+        psi = random_state(rng, 5)
+        direct = evolve_trotter(psi.amplitudes, h, 0.9, steps, order)
+        ref = _unmerged_reference(psi.amplitudes, h, 0.9, steps, order)
+        assert np.max(np.abs(direct - ref)) <= 1e-14
+        h_tilde, s = embed_hamiltonian(h), embed_state(psi)
+        out = evolve_enlarged(s, h_tilde, 0.9, f"trotter{order}", steps).amplitudes
+        ref = _unmerged_reference(s.amplitudes, h_tilde.operator, 0.9, steps, order)
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+    def test_the_sector_chain_takes_65_passes(self, image_calls):
+        # 13 XX bonds and 14 Z fields: 5 occurrences of the bond run, each
+        # a flipped copy per bond, and 4 of the field run, each one phase.
+        state, h_tilde = _enlarged_chain()
+        s = state.amplitudes[:1 << 14] - 1j * state.amplitudes[1 << 14:]
+        out = evolve_trotter(s, h_tilde.sector, 0.2, 4, 2)
+        assert len(image_calls) == 65 and not any(k.signed for k in image_calls)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pauli, "PHASE_RUN_TERMS", 10**9)
+            unfused = PauliSum(n=14, terms=h_tilde.sector.terms)
+            ref = evolve_trotter(s, unfused, 0.2, 4, 2)
+        assert len(image_calls) == 65 + 121
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+    def test_the_phases_are_built_once_per_sum(self, rng, monkeypatch):
+        h, psi = _ising(rng, 6), random_state(rng, 6).amplitudes
+        evolve_trotter(psi, h, 0.3, 2, 2)
+        phases = [d for d, _ in h._phase_runs]
+        monkeypatch.setattr(pauli, "_kernel", None)  # a second build would fail
+        evolve_trotter(psi, h, 0.3, 2, 2)
+        assert all(map(operator.is_, phases, (d for d, _ in h._phase_runs)))
 
     @pytest.mark.parametrize("steps", [1, 3, 1000, 10**6])
     @pytest.mark.parametrize("order", [1, 2])

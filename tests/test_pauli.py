@@ -20,8 +20,9 @@ from embedsim import (
     expectation,
     y_parity,
 )
+from embedsim import pauli
 from embedsim.pauli import (
-    KERNEL_CACHE_QUBITS, KERNEL_CACHE_SIZE, SINGLE_QUBIT, _build, _kernel,
+    KERNEL_CACHE_QUBITS, KERNEL_CACHE_SIZE, PHASE_RUN_TERMS, SINGLE_QUBIT, _build, _kernel,
 )
 
 from conftest import random_pauli_sum, random_real_state, random_state
@@ -141,6 +142,32 @@ class TestKernel:
         assert _build.cache_info().currsize == kept
         assert KERNEL_CACHE_SIZE << KERNEL_CACHE_QUBITS <= 16 << 20  # bytes of signs kept
 
+    @given(label=st.text(alphabet="IXYZ", min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_only_y_and_z_labels_are_signed(self, label, seed):
+        k, rng = _kernel(label), np.random.default_rng(seed)
+        assert k.signed == bool(set(label) & set("YZ"))
+        assert k.signed or (k.signs == 1).all()
+        for s in (random_real_state(rng, len(label)), random_state(rng, len(label)).amplitudes):
+            flipped = (k.signs * s.reshape(k.signs.shape)[k.axes]).reshape(-1)
+            assert np.array_equal(k.image(s, np.empty_like(s)), flipped)
+
+    @given(label=st.text(alphabet="IX", min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_a_sign_free_image_is_a_flipped_copy(self, label, seed):
+        # Bitwise signs * flip(s), and every reader of it bitwise what the
+        # signed branch gives.
+        p, k, rng = PauliString(label), _kernel(label), np.random.default_rng(seed)
+        h = PauliSum.from_terms([(float(rng.uniform(-2.0, 2.0)), label)])
+        signed = {label: k._replace(signed=True)}
+        for s in (random_real_state(rng, p.n), random_state(rng, p.n).amplitudes):
+            image = k.image(s, np.empty_like(s))
+            assert np.array_equal(image, (k.signs * s.reshape(k.signs.shape)[k.axes]).reshape(-1))
+            assert np.max(np.abs(k.phase * image - dense_matrix(p) @ s)) <= 1e-15
+            applied, read = apply_pauli_sum(h, s), expectation(s, h)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pauli, "_kernel", signed.__getitem__)
+                assert np.array_equal(apply_pauli_sum(h, s), applied)
+                assert expectation(s, h) == read
+
     def test_signs_are_read_only_int8(self):
         signs = _kernel("XYZIY").signs
         assert signs.dtype == np.int8 and signs.size == 2**5
@@ -235,6 +262,34 @@ class TestPauliSum:
         assert h.commuting_runs == (h.terms[:n - 1], h.terms[n - 1:])
         assert h.commuting_runs is h.commuting_runs
         assert PauliSum(n=2, terms=()).commuting_runs == ()
+
+    def test_phase_runs_fuse_the_diagonal_terms_of_a_run(self, rng):
+        n = 5
+        xs = [(float(rng.uniform(-1, 1)), "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
+        zzs = [(float(rng.uniform(-1, 1)), "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
+        zs = [(float(rng.uniform(-1, 1)), "I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
+        h = PauliSum.from_terms(xs + zzs + [(0.3, "YYYYY")] + zs)
+        assert [len(run) for run in h.commuting_runs] == [n, n, n]
+        runs = h._phase_runs
+        assert runs is h._phase_runs
+        assert runs[0] == (None, h.commuting_runs[0])
+        for (d, rest), run in zip(runs[1:], h.commuting_runs[1:]):
+            diagonal = [(c, p) for c, p in run if set(p.symbols) <= set("IZ")]
+            assert rest == tuple(t for t in run if t not in diagonal)
+            assert d.dtype == np.float64 and not d.flags.writeable
+            assert np.max(np.abs(d - np.diag(PauliSum.from_terms(diagonal).dense()).real)) <= 1e-15
+            with pytest.raises(ValueError):
+                d[0] = 0.0
+
+    def test_runs_of_few_diagonal_terms_and_long_registers_are_not_fused(self):
+        def fields(n, count):
+            return PauliSum.from_terms([(0.1 * (j + 1), "I" * j + "Z" + "I" * (n - j - 1))
+                                        for j in range(count)], n=n)
+
+        for h in (fields(PHASE_RUN_TERMS, PHASE_RUN_TERMS - 1),
+                  fields(KERNEL_CACHE_QUBITS + 1, KERNEL_CACHE_QUBITS + 1)):
+            assert h._phase_runs == ((None, h.terms),)
+        assert fields(KERNEL_CACHE_QUBITS, PHASE_RUN_TERMS)._phase_runs[0][0] is not None
 
     def test_commuting_runs_are_maximal_and_commute(self, rng):
         def commute(a, b):
