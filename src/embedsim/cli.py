@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import RoofConfig, convex_roof_estimate, werner_state
+from .convexroof import RoofConfig, convex_roof_estimate, roof_objective, werner_state
 from .embedding import embed_hamiltonian, embed_state
 from .errors import CapacityError, ConfigError, NumericalIntegrityError
 from .evolution import METHODS, evolve, evolve_enlarged
-from .measurement import ShotPlan, combine_estimates, sample_estimates
+from .measurement import ShotPlan, _nth_plan, combine_estimates, sample_estimates
 from .monotones import (
     MONOTONE_PRESETS,
     MonotoneSpec,
@@ -272,18 +272,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                    "max_iterations": (_integer, 1, MAX_ROOF_ITERATIONS),
                    "restarts": (_integer, 1, MAX_ROOF_RESTARTS), "tolerance": (_number,),
                    "seed": (_integer, 0, 2**64 - 1)}
-        opts = _object(raw["roof"], "roof", (*readers, "use_shots"))
-        use_shots = opts.get("use_shots", False)
-        if not isinstance(use_shots, bool):
-            _fail("roof.use_shots", "must be true or false")
-        if use_shots and shots is None:
-            _fail("roof.use_shots", "needs a top-level 'shots' block or --shots")
+        opts = _object(raw["roof"], "roof", tuple(readers))
         with _field("roof"):
-            roof = RoofConfig(
-                **{k: read(opts[k], f"roof.{k}", *bounds)
-                   for k, (read, *bounds) in readers.items() if k in opts},
-                shots=shots if use_shots else None,
-            )
+            roof = RoofConfig(**{k: read(opts[k], f"roof.{k}", *bounds)
+                                 for k, (read, *bounds) in readers.items() if k in opts})
 
     mixed = None
     if raw.get("mixed_state") is not None:
@@ -330,9 +322,11 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             _fail("mixed_state", f"has {rho.n} qubits, monotone has {config.monotone.n_qubits}")
         start = time.perf_counter()
         result = convex_roof_estimate(rho, config.monotone, config.roof or RoofConfig())
+        value = (result.value if config.shots is None
+                 else roof_objective(result.decomposition, config.monotone, config.shots))
         return [
             ResultRecord(
-                roof_value=result.value,
+                roof_value=value,
                 roof_k=result.decomposition.size,
                 roof_iterations=result.iterations,
                 roof_converged=result.converged,
@@ -354,7 +348,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     moving = [t for t in config.times if t != 0.0] if h_tilde is not None else []
     trajectory = _trajectory(config, h_tilde, moving)
     records = []
-    for t in config.times:
+    for k, t in enumerate(config.times):
         start = time.perf_counter()
         if h_tilde is None or t == 0.0:
             psi_t, tilde_t, evolved_ms = psi0, embed_state(psi0), 0.0
@@ -378,7 +372,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             n_tomography=tomography_baseline(spec.n_qubits),
         )
         if config.shots is not None:
-            per_obs = sample_estimates(per_observable, config.shots)
+            per_obs = sample_estimates(per_observable, _nth_plan(config.shots, k))
             record.value_sampled = combine_estimates(spec, per_obs)
             record.per_observable_sampled = list(per_obs)
         record.duration_ms = (time.perf_counter() - start) * 1e3 + evolved_ms

@@ -11,11 +11,10 @@ backtracking) descends on the complex Stiefel manifold; its restarts run in
 one batch, each exactly as it would alone. `RoofConfig.tolerance` bounds the
 norm of the Riemannian gradient, and `converged` says that the winning
 restart reached it. The objective is >= 0, so a restart falling below 1e-12
-ends the search; the least final value wins. Without shots the result is an
-upper bound: every decomposition is feasible. A sampled objective is
-piecewise constant in W, so under `RoofConfig.shots` the descent still runs
-on the exact pairs, and `value` samples the winning decomposition once,
-member j on plan seed + j.
+ends the search; the least final value wins. The result is an upper bound:
+every decomposition is feasible. The search reads no shots: a sampled
+objective is piecewise constant in W. A shot readout of the winning
+decomposition is `roof_objective(result.decomposition, spec, plan)`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import ShotPlan, combine_estimates, sample_estimates
-from .monotones import EmbeddedEvaluator, MonotoneSpec, _expansion
+from .embedding import embed_state
+from .measurement import ShotPlan, _nth_plan, sample_monotone
+from .monotones import MonotoneSpec, _expansion, evaluate_monotone
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, apply_pauli_sum, dense_matrix
 
 RANK_EPS = 1e-10
@@ -64,15 +64,15 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RoofConfig:
-    """k = rank + extra_terms members; each restart stops after
-    max_iterations steps or once its Riemannian gradient norm is <= tolerance."""
+    """Search options: k = rank + extra_terms members; each restart stops
+    after max_iterations steps or once its Riemannian gradient norm is <=
+    tolerance. Shots belong to the readout, `roof_objective`."""
 
     extra_terms: int = 2
     max_iterations: int = 500
     restarts: int = 8
     tolerance: float = 1e-6
     seed: int = 0
-    shots: ShotPlan | None = None
 
     def __post_init__(self):
         if self.extra_terms < 0:
@@ -134,19 +134,12 @@ def roof_objective(
     d: Decomposition, spec: MonotoneSpec, shots: ShotPlan | None = None
 ) -> float:
     """sum_j p_j E(|psi_j>), every member evaluated via the embedded path on
-    its own state; with shots, member j samples its exact (<Z(x)O>, <X(x)O>)
-    pairs with seed shots.seed + j."""
-    evaluator = EmbeddedEvaluator(spec)
-    probs = np.array([p for p, _ in d.members])
-    states = np.array([psi.amplitudes for _, psi in d.members])
+    its own state; with shots, member j is sampled by `sample_monotone` on
+    plan seed + j (mod 2^64)."""
     if shots is None:
-        return float(probs @ evaluator.values_batch(states))
-    ex = evaluator.antilinear_batch(states)
-    pairs = np.stack([ex.real, -ex.imag], axis=-1).reshape(len(probs), -1)
-    return float(sum(
-        p * combine_estimates(spec, sample_estimates(pair, ShotPlan(shots.shots, (shots.seed + j) % 2**64)))
-        for j, (p, pair) in enumerate(zip(probs, pairs))
-    ))
+        return float(sum(p * evaluate_monotone(psi, spec, "embedded").value for p, psi in d.members))
+    return float(sum(p * sample_monotone(embed_state(psi), spec, _nth_plan(shots, j))[0]
+                     for j, (p, psi) in enumerate(d.members)))
 
 
 def _steered_objective(scaled: np.ndarray, spec: MonotoneSpec):
@@ -271,8 +264,9 @@ def _conjugate_gradient(f, w0, max_iterations, tolerance):
 def convex_roof_estimate(
     rho: MixedState, spec: MonotoneSpec, cfg: RoofConfig = RoofConfig()
 ) -> RoofResult:
-    """Upper-bound estimate of the convex-roof monotone of rho; with
-    `cfg.shots`, the winning decomposition's sampled objective.
+    """Upper-bound estimate of the convex-roof monotone of rho: the exact
+    objective of the winning decomposition; its shot readout is
+    `roof_objective(result.decomposition, spec, plan)`.
 
     The decomposition size is k = rank + extra_terms, capped at 4^N (no
     optimal decomposition needs more members than rank^2 <= 4^N). Restart 0
@@ -289,11 +283,9 @@ def convex_roof_estimate(
         _steered_objective(scaled, spec), w0, cfg.max_iterations, cfg.tolerance
     )
     best = int(np.argmin(fw))
-    decomposition = decomposition_from_isometry(rho, w[best])
-    value = fw[best] if cfg.shots is None else roof_objective(decomposition, spec, cfg.shots)
     return RoofResult(
-        value=float(value),
-        decomposition=decomposition,
+        value=float(fw[best]),
+        decomposition=decomposition_from_isometry(rho, w[best]),
         iterations=int(iterations[best]),
         converged=bool(converged[best]),
         history=tuple(histories[best]),

@@ -1,9 +1,10 @@
 """Unitary time evolution: the exact propagator and first / second order
 product-formula approximations (hbar = 1).
 
-`evolve` takes one time or a 1-D sequence of times. Under "exact" the whole
-sequence shares one Chebyshev recurrence v_{k+1} = 2 (H / L) v_k - v_{k-1},
-L = sum |c| >= ||H||, and each time sums its own coefficients
+`evolve` and `evolve_exact` take one time or a 1-D sequence of times; more
+dimensions are refused. Under "exact" the whole sequence shares one
+Chebyshev recurrence v_{k+1} = 2 (H / L) v_k - v_{k-1}, L = sum |c| >=
+||H||, and each time sums its own coefficients
 c_k(Lt) = (2 - delta_k0) (-i)^k J_k(Lt) against it (Tal-Ezer & Kosloff, J.
 Chem. Phys. 81, 3967 (1984)); the matvec is the dense matrix of H. Where
 the series, for its number of terms and of times, would cost more than one
@@ -65,6 +66,14 @@ SERIES_TOL = 1e-16
 SERIES_BLOCK = 1 << 10
 
 
+def _times(t: float | Sequence[float]) -> np.ndarray:
+    """t as a 1-D float array; more dimensions are refused."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("evolution times must be one number or a 1-D sequence")
+    return times
+
+
 def evolve_exact(s: np.ndarray, h: PauliSum, t: float | Sequence[float]) -> np.ndarray:
     """exp(-iHt) @ s up to rounding: one state for a float t, one row per time
     for a 1-D sequence.
@@ -80,7 +89,7 @@ def evolve_exact(s: np.ndarray, h: PauliSum, t: float | Sequence[float]) -> np.n
     """
     s = _checked(s, h.n)
     _check_dense(h.n)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = _times(t)
     norm = sum(abs(c) for c, _ in h.terms)
     dim = 1 << h.n
     most = SERIES_TERMS_PER_DIM * dim * dim // (dim + SERIES_TIME_COST * times.size)
@@ -223,9 +232,7 @@ def evolve(
     NORM_ATOL * |s| at any time raises NumericalIntegrityError."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim != 1:
-        raise ValueError("evolution times must be one number or a 1-D sequence")
+    times = _times(t)
     if not np.isfinite(times).all():
         raise ValueError("evolution time must be finite")
     far = max(times.tolist(), key=abs, default=0.0)

@@ -30,6 +30,11 @@ class ShotPlan:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+def _nth_plan(plan: ShotPlan, k: int) -> ShotPlan:
+    """The plan of state k of a run: seed + k (mod 2^64); state 0 keeps `plan`."""
+    return ShotPlan(plan.shots, (plan.seed + k) % 2**64)
+
+
 def _rng_for(plan: ShotPlan, index: int) -> np.random.Generator:
     # Independent stream per observable: SeedSequence(entropy, spawn_key)
     # is the documented mixing function.

@@ -18,7 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedsim
-from embedsim import ConfigError, NumericalIntegrityError, evolve_enlarged, expand_to_observables
+from embedsim import (
+    ConfigError,
+    NumericalIntegrityError,
+    RoofConfig,
+    ShotPlan,
+    combine_estimates,
+    convex_roof_estimate,
+    evolve_enlarged,
+    expand_to_observables,
+    roof_objective,
+    sample_estimates,
+)
 from embedsim.cli import (
     MAX_EVOLUTION_STEPS,
     MAX_QUBITS,
@@ -332,6 +343,25 @@ class TestRun:
         assert records[0].value_sampled == pytest.approx(1.0, abs=0.02)
         assert len(records[0].per_observable_sampled) == 2
 
+    def test_record_k_samples_on_plan_seed_plus_k(self):
+        # record 0 draws on the plan itself; the seed wraps at 2^64
+        seed = 2**64 - 3
+        config = parse_config({**WORKED_EXAMPLE_EVOLVE, "shots": {"shots": 500, "seed": seed}})
+        records = run(config)
+        for k, record in enumerate(records):
+            estimates = sample_estimates(record.per_observable, ShotPlan(500, (seed + k) % 2**64))
+            assert record.per_observable_sampled == list(estimates)
+            assert record.value_sampled == combine_estimates(config.monotone, estimates)
+
+    def test_records_at_the_same_state_draw_independent_noise(self):
+        # no Hamiltonian: every time reads the same state, and each draws anew
+        config = parse_config({"workflow": "monotone", "initial_state": "w", "n_qubits": 3,
+                               "monotone": "three_tangle", "times": [0.0, 1.0, 2.0],
+                               "shots": {"shots": 1000, "seed": 4}})
+        records = run(config)
+        assert len({tuple(r.per_observable) for r in records}) == 1
+        assert len({tuple(r.per_observable_sampled) for r in records}) == 3
+
     def test_roof_werner(self):
         config = parse_config(
             {
@@ -602,15 +632,15 @@ class TestDeterminism:
 
 class TestStrictShotsAndNestedKeys:
     @pytest.mark.parametrize("payload,field", [
-        ({**ROOF_WERNER, "roof": {"restarts": 1, "use_shots": True}}, "'roof.use_shots'"),
-        ({**ROOF_WERNER, "roof": {"restarts": 1, "use_shots": "no"}, "shots": {"shots": 10}},
-         "'roof.use_shots'"),
         ({**BELL_MONOTONE, "monotone": {
             "name": "c", "n_qubits": 2, "factors": [["Y", "Y"]], "contractions": [], "factor": 2,
         }}, "'monotone.factor'"),
         ({**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": 1.0, "pauli": "XY", "coef": 2.0}]},
          "'hamiltonian[0].coef'"),
-    ], ids=["use_shots-without-shots", "use_shots-not-boolean", "monotone-key", "hamiltonian-key"])
+        # a shot plan alone makes the roof readout sample; there is no switch
+        ({**ROOF_WERNER, "roof": {"restarts": 1, "use_shots": True}, "shots": {"shots": 10}},
+         "'roof.use_shots': unknown key"),
+    ], ids=["monotone-key", "hamiltonian-key", "use_shots-unknown-key"])
     def test_exits_2_naming_the_field(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
@@ -837,7 +867,7 @@ class TestOverridesAreConfigFields:
         assert rows[0] == rows[1]
 
     def test_shots_override_supplies_the_roof_shot_plan(self, tmp_path, capsys):
-        roof = {"restarts": 1, "max_iterations": 2, "extra_terms": 0, "use_shots": True}
+        roof = {"restarts": 1, "max_iterations": 2, "extra_terms": 0}
         outputs = []
         for payload, args in [({**ROOF_WERNER, "roof": roof}, ["--shots", "50"]),
                               ({**ROOF_WERNER, "roof": roof, "shots": {"shots": 50}}, [])]:
@@ -846,6 +876,22 @@ class TestOverridesAreConfigFields:
             record.pop("duration_ms")
             outputs.append(record)
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("payload,args,plan", [
+    (json.loads((CONFIGS / "werner_roof.json").read_text()), ["--shots", "50"], ShotPlan(50, 0)),
+    ({**{k: v for k, v in ROOF_WERNER.items() if k != "roof"}, "shots": {"shots": 50, "seed": 7}},
+     [], ShotPlan(50, 7)),
+], ids=["shipped-config-with-shots-override", "shots-block-and-no-roof-block"])
+def test_a_shot_plan_makes_roof_value_the_shot_readout(tmp_path, capsys, payload, args, plan):
+    # the search runs exactly; the plan samples its winning decomposition once
+    config = parse_config(payload)
+    result = convex_roof_estimate(config.mixed_state, config.monotone, config.roof or RoofConfig())
+    sampled = roof_objective(result.decomposition, config.monotone, plan)
+    assert main(["--config", write_config(tmp_path, payload), *args]) == 0
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["roof_value"] == sampled
+    assert sampled != result.value
 
 
 FUZZ_BASE = {
@@ -859,7 +905,7 @@ FUZZ_BASE = {
     "evolution": {"method": "trotter2", "steps": 4},
     "shots": {"shots": 100, "seed": 1},
     "roof": {"extra_terms": 1, "max_iterations": 10, "restarts": 1, "tolerance": 1e-6,
-             "seed": 0, "use_shots": True},
+             "seed": 0},
     "mixed_state": {"preset": "werner", "p": 0.8},
 }
 # The same config with the state and the mixed state given as numbers.
@@ -964,7 +1010,7 @@ MUTABLE_PATHS = [
     ("times", 0), ("evolution",), ("evolution", "method"), ("evolution", "steps"), ("shots",),
     ("shots", "shots"), ("shots", "seed"), ("roof",), ("roof", "extra_terms"),
     ("roof", "max_iterations"), ("roof", "restarts"), ("roof", "tolerance"), ("roof", "seed"),
-    ("roof", "use_shots"), ("mixed_state",), ("mixed_state", "p"),
+    ("mixed_state",), ("mixed_state", "p"),
 ]
 
 
@@ -1011,7 +1057,6 @@ def documents(draw):
     if draw(st.booleans()):
         doc["shots"] = {"shots": draw(st.sampled_from([1, 1000, 2**62])),
                         "seed": draw(st.integers(0, 2**64 - 1))}
-        doc["roof"]["use_shots"] = draw(st.booleans())
     if n == 2 and draw(st.booleans()):
         doc["mixed_state"] = {"preset": "werner", "p": draw(FINITE | st.floats(0.0, 1.0))}
     changes = st.tuples(st.sampled_from(MUTABLE_PATHS), EDGE | st.just(REMOVE))

@@ -129,18 +129,21 @@ class TestRoofObjective:
         d = eigendecomposition_start(rho)
         assert roof_objective(d, concurrence_spec()) >= wootters_oracle(rho) - 1e-9
 
-    @pytest.mark.parametrize("shots", [None, ShotPlan(500, 13)], ids=["exact", "shots"])
+    @pytest.mark.parametrize("shots", [None], ids=["exact"])
     def test_roof_value_is_the_objective_of_its_decomposition(self, shots):
-        cfg = RoofConfig(extra_terms=0, restarts=2, max_iterations=30, shots=shots)
+        cfg = RoofConfig(extra_terms=0, restarts=2, max_iterations=30)
         result = convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg)
-        objective = roof_objective(result.decomposition, concurrence_spec(), shots=cfg.shots)
+        objective = roof_objective(result.decomposition, concurrence_spec(), shots=shots)
         assert result.value == pytest.approx(objective, abs=1e-12)
 
     def test_shot_noise_roof_is_deterministic(self):
-        cfg = RoofConfig(extra_terms=0, restarts=1, max_iterations=10, shots=ShotPlan(500, 13))
+        cfg = RoofConfig(extra_terms=0, restarts=1, max_iterations=10)
         a, b = (convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg) for _ in range(2))
         assert (a.value, a.history, a.iterations) == (b.value, b.history, b.iterations)
         np.testing.assert_array_equal(a.decomposition.density_matrix(), b.decomposition.density_matrix())
+        plan = ShotPlan(500, 13)
+        assert (roof_objective(a.decomposition, concurrence_spec(), plan)
+                == roof_objective(b.decomposition, concurrence_spec(), plan))
 
     @pytest.mark.parametrize("seed", [17, 2**64 - 2])
     def test_member_j_samples_on_plan_seed_plus_j(self, seed, rng):
@@ -313,10 +316,10 @@ class TestCoordinateDescent:
                 cut += 1
         assert cut
 
-    @pytest.mark.parametrize("shots", [None, ShotPlan(300, 9)], ids=["exact", "shots"])
-    def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, shots):
+    @pytest.mark.parametrize("cfg", [RoofConfig()], ids=["exact"])
+    def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, cfg):
         rho = random_rank2_state(np.random.default_rng(8))
-        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), RoofConfig(shots=shots))
+        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), cfg)
         # the first row is the spectral ensemble, padded with members of weight 0
         w = np.concatenate([np.eye(4, 2)[None], random_isometries(np.random.default_rng(2), 4, 4, 2)])
         values, grads = f(w)
@@ -324,9 +327,6 @@ class TestCoordinateDescent:
             value, grad = f(row[None])
             assert value[0] == values[i]
             np.testing.assert_array_equal(grad[0], grads[i])
-        # with shots too, the descent runs on the exact pairs
-        exact = convexroof._steered_objective(convexroof._spectral(rho), concurrence_spec())(w)
-        np.testing.assert_array_equal(values, exact[0])
 
     def test_werner_solve_makes_few_evaluator_calls(self, monkeypatch):
         rows, evaluator_calls = [], []
@@ -382,17 +382,18 @@ class TestGhzWRoof:
 class TestShotNoiseRoof:
     def test_descent_runs_on_exact_pairs_and_samples_once(self):
         # the sampled value of the exact minimiser is unbiased around the roof 0.7
-        values = [
-            convex_roof_estimate(werner_state(0.8), concurrence_spec(), RoofConfig(
-                restarts=2, max_iterations=40, seed=s, shots=ShotPlan(100, s))).value
-            for s in range(1, 21)
-        ]
+        values = []
+        for s in range(1, 21):
+            d = convex_roof_estimate(werner_state(0.8), concurrence_spec(), RoofConfig(
+                restarts=2, max_iterations=40, seed=s)).decomposition
+            values.append(roof_objective(d, concurrence_spec(), ShotPlan(100, s)))
         assert np.mean(values) == pytest.approx(0.7, abs=0.03)
 
     def test_shot_roof_is_fast(self):
-        cfg = RoofConfig(restarts=2, max_iterations=30, shots=ShotPlan(500, 13))
+        cfg = RoofConfig(restarts=2, max_iterations=30)
         start = time.perf_counter()
-        convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg)
+        d = convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg).decomposition
+        roof_objective(d, concurrence_spec(), ShotPlan(500, 13))
         assert time.perf_counter() - start < 0.5
 
 

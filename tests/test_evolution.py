@@ -627,6 +627,15 @@ class TestChebyshevSeries:
             chebyshev = np.cos(np.arange(terms) * np.arccos(y))
             assert np.max(np.abs(coeffs @ chebyshev - np.exp(-1j * x * y))) <= 1e-14
 
+    @pytest.mark.parametrize("n", [2, 7], ids=["spectrum", "series"])
+    def test_times_of_more_than_one_dimension_are_refused(self, rng, n):
+        # a (1, 2) list of times: 2 qubits land on eigh's side of the switch,
+        # 7 qubits with a few terms on the series' side
+        h, psi = random_pauli_sum(rng, n, max_terms=5), random_state(rng, n).amplitudes
+        for call in (evolve, evolve_exact):
+            with pytest.raises(ValueError, match="one number or a 1-D sequence"):
+                call(psi, h, [[0.1, 0.2]])
+
     def test_the_cost_switch_falls_back_to_the_spectrum(self, rng):
         # 2 qubits to t = 2.5: the series would need about 30 terms for 4 amplitudes.
         h, psi = random_pauli_sum(rng, 2), random_state(rng, 2).amplitudes
