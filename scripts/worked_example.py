@@ -38,10 +38,12 @@ def main():
     for record in h_tilde.operator.to_records():
         print(f"  {record['coeff']:+g} * {record['pauli']}")
     print(f"\n{'t':>6} {'direct':>12} {'embedded':>12} {'|diff|':>10}")
-    for t in np.linspace(0.0, args.t_max, args.points):
-        psi_t = PureState(evolve(psi0.amplitudes, h, t))
-        tilde_t = evolve_enlarged(tilde0, h_tilde, t)
-        direct = evaluate_monotone(psi_t, spec, path="direct").value
+    # each path evolves the whole trajectory in one call
+    times = np.linspace(0.0, args.t_max, args.points)
+    psis = evolve(psi0.amplitudes, h, times)
+    tildes = evolve_enlarged(tilde0, h_tilde, times)
+    for t, psi_t, tilde_t in zip(times, psis, tildes):
+        direct = evaluate_monotone(PureState(psi_t), spec, path="direct").value
         embedded = evaluate_monotone(tilde_t, spec, path="embedded").value
         print(f"{t:6.3f} {direct:12.8f} {embedded:12.8f} {abs(direct - embedded):10.2e}")
 

@@ -268,14 +268,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     roof = None
     if raw.get("roof") is not None:
-        readers = {"extra_terms": (_integer, 0, MAX_ROOF_EXTRA_TERMS),
-                   "max_iterations": (_integer, 1, MAX_ROOF_ITERATIONS),
-                   "restarts": (_integer, 1, MAX_ROOF_RESTARTS), "tolerance": (_number,),
-                   "seed": (_integer, 0, 2**64 - 1)}
-        opts = _object(raw["roof"], "roof", tuple(readers))
+        bounds = {"extra_terms": (0, MAX_ROOF_EXTRA_TERMS),
+                  "max_iterations": (1, MAX_ROOF_ITERATIONS),
+                  "restarts": (1, MAX_ROOF_RESTARTS), "seed": (0, 2**64 - 1)}
+        opts = _object(raw["roof"], "roof", tuple(bounds))
         with _field("roof"):
-            roof = RoofConfig(**{k: read(opts[k], f"roof.{k}", *bounds)
-                                 for k, (read, *bounds) in readers.items() if k in opts})
+            roof = RoofConfig(**{k: _integer(opts[k], f"roof.{k}", *b)
+                                 for k, b in bounds.items() if k in opts})
 
     mixed = None
     if raw.get("mixed_state") is not None:
@@ -322,11 +321,11 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             _fail("mixed_state", f"has {rho.n} qubits, monotone has {config.monotone.n_qubits}")
         start = time.perf_counter()
         result = convex_roof_estimate(rho, config.monotone, config.roof or RoofConfig())
-        value = (result.value if config.shots is None
-                 else roof_objective(result.decomposition, config.monotone, config.shots))
         return [
             ResultRecord(
-                roof_value=value,
+                roof_value=result.value,
+                value_sampled=(None if config.shots is None else
+                               roof_objective(result.decomposition, config.monotone, config.shots)),
                 roof_k=result.decomposition.size,
                 roof_iterations=result.iterations,
                 roof_converged=result.converged,

@@ -8,18 +8,17 @@ label, and the monotone is homogeneous in them, so the objective and its
 exact gradient never build a 2^N member vector. A Riemannian
 conjugate-gradient search (Polak-Ribiere+, QR retraction, Armijo
 backtracking) descends on the complex Stiefel manifold; its restarts run in
-one batch, each exactly as it would alone. `RoofConfig.tolerance` bounds the
-norm of the Riemannian gradient, and `converged` says that the winning
-restart reached it. The objective is >= 0, so a restart falling below 1e-12
-ends the search; the least final value wins. The result is an upper bound:
-every decomposition is feasible. The search reads no shots: a sampled
-objective is piecewise constant in W. A shot readout of the winning
+one batch, each exactly as it would alone. A restart stops once the norm of
+its Riemannian gradient is <= GRADIENT_TOLERANCE, and `converged` says that
+the winning restart reached it. The objective is >= 0, so a restart falling
+below 1e-12 ends the search; the least final value wins. The result is an
+upper bound: every decomposition is feasible. The search reads no shots: a
+sampled objective is piecewise constant in W. A shot readout of the winning
 decomposition is `roof_objective(result.decomposition, spec, plan)`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ RECONSTRUCTION_ATOL = 1e-8
 PROB_FLOOR = 1e-14
 ARMIJO = 1e-4
 MAX_HALVINGS = 20
+GRADIENT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,11 @@ class Decomposition:
 class RoofConfig:
     """Search options: k = rank + extra_terms members; each restart stops
     after max_iterations steps or once its Riemannian gradient norm is <=
-    tolerance. Shots belong to the readout, `roof_objective`."""
+    GRADIENT_TOLERANCE. Shots belong to the readout, `roof_objective`."""
 
     extra_terms: int = 2
     max_iterations: int = 500
     restarts: int = 8
-    tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -79,8 +78,6 @@ class RoofConfig:
             raise ValueError("extra_terms must be >= 0")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -110,7 +107,7 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
     r = scaled.shape[1]
     if w.ndim != 2 or w.shape[1] != r:
         raise ValueError(f"isometry must be k x {r} for this state, got {w.shape}")
-    if np.max(np.abs(w.conj().T @ w - np.eye(r))) > 1e-10:
+    if not np.max(np.abs(w.conj().T @ w - np.eye(r))) <= 1e-10:  # a NaN fails too
         raise ValueError("columns are not orthonormal within 1e-10")
     phi = w @ scaled.T                        # (k, dim)
     probs = np.sum(np.abs(phi) ** 2, axis=1)
@@ -280,7 +277,7 @@ def convex_roof_estimate(
     shape = (cfg.restarts - 1, k, r)
     w0 = np.concatenate([np.eye(k, r)[None], _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))])
     w, fw, histories, converged, iterations = _conjugate_gradient(
-        _steered_objective(scaled, spec), w0, cfg.max_iterations, cfg.tolerance
+        _steered_objective(scaled, spec), w0, cfg.max_iterations, GRADIENT_TOLERANCE
     )
     best = int(np.argmin(fw))
     return RoofResult(

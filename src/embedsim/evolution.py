@@ -24,10 +24,10 @@ Enlarged-space trajectories stay structurally real. Every embedded term
 conserves Y on the ancilla, so every method evolves the component x - iy of
 [x; y] in the Y_ancilla = +1 sector, an n-qubit problem, and rebuilds the
 real vector [Re a; -Im a] from the result a.
-`evolve` refuses phases that overflow, and a sum |c| * max |t| of 2^52 or
-more, where the rounding of a phase alone is of order one radian. It is the
-one norm check on evolved states, on both paths: a drift beyond NORM_ATOL at
-any time is refused.
+Every propagator refuses a time that is not finite, phases that overflow,
+and a sum |c| * max |t| of 2^52 or more, where the rounding of a phase alone
+is of order one radian. `evolve` is the one norm check on evolved states, on
+both paths: a drift beyond NORM_ATOL at any time is refused.
 """
 
 from __future__ import annotations
@@ -74,9 +74,28 @@ def _times(t: float | Sequence[float]) -> np.ndarray:
     return times
 
 
+def _phase_norm(h: PauliSum, times: np.ndarray) -> float:
+    """sum |c| of h; refuses a time that is not finite and phases that overflow or reach 2^52."""
+    if not np.isfinite(times).all():
+        raise ValueError("evolution time must be finite")
+    far = max(times.tolist(), key=abs, default=0.0)
+    norm = sum(abs(c) for c, _ in h.terms)
+    if not math.isfinite(norm * max(1.0, abs(far))):
+        raise NumericalIntegrityError(
+            f"sum |c| * max(1, |t|) exceeds the float range at t={far}: "
+            "the spectrum or the phases would overflow"
+        )
+    if norm * abs(far) >= PHASE_LIMIT:
+        raise NumericalIntegrityError(
+            f"sum |c| * |t| = {norm * abs(far):.3e} reaches 2^52 at t={far}: "
+            "the rounding of the phases alone is of order one radian"
+        )
+    return norm
+
+
 def evolve_exact(s: np.ndarray, h: PauliSum, t: float | Sequence[float]) -> np.ndarray:
     """exp(-iHt) @ s up to rounding: one state for a float t, one row per time
-    for a 1-D sequence.
+    for a 1-D sequence. Times that `_phase_norm` refuses raise first.
 
     All times share one Chebyshev recurrence on h.dense(). When the series
     would cost more than one `eigh` (SERIES_TERMS_PER_DIM, SERIES_TIME_COST),
@@ -85,12 +104,12 @@ def evolve_exact(s: np.ndarray, h: PauliSum, t: float | Sequence[float]) -> np.n
     keeps nothing between calls: a caller that evolves one time per call on
     the same sum rebuilds the matrix and reruns the recurrence each time, so
     a trajectory is cheapest as one list. Both need the dense matrix, so a
-    register beyond DENSE_QUBIT_CAP is refused first.
+    register beyond DENSE_QUBIT_CAP is refused before either runs.
     """
+    times = _times(t)
+    norm = _phase_norm(h, times)
     s = _checked(s, h.n)
     _check_dense(h.n)
-    times = _times(t)
-    norm = sum(abs(c) for c, _ in h.terms)
     dim = 1 << h.n
     most = SERIES_TERMS_PER_DIM * dim * dim // (dim + SERIES_TIME_COST * times.size)
     terms = _series_terms(norm * np.max(np.abs(times), initial=0.0), most)
@@ -170,7 +189,8 @@ def evolve_trotter(
     s: np.ndarray, h: PauliSum, t: float, steps: int, order: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Product-formula propagation over the commuting runs of h.
+    """Product-formula propagation over the commuting runs of h; a time that
+    `_phase_norm` refuses raises first.
 
     One step applies the runs (`PauliSum.commuting_runs`) in stored order,
     at order 2 followed by the same runs in reverse. The steps are chained,
@@ -187,6 +207,7 @@ def evolve_trotter(
     imaginary part is exactly zero when every -iP is real, as for an
     EmbeddedHamiltonian, which has no I/Z-only term.
     """
+    _phase_norm(h, _times(t))
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
@@ -228,25 +249,11 @@ def evolve(
 ) -> np.ndarray:
     """exp(-iHt) @ s by the named method: one state for a float t, one row
     per time for a 1-D sequence. `steps` applies to the product formulas
-    only, which propagate each time on its own. A norm drift beyond
-    NORM_ATOL * |s| at any time raises NumericalIntegrityError."""
+    only, which propagate each time on its own. The propagators refuse bad
+    times, and a norm drift beyond NORM_ATOL * |s| raises NumericalIntegrityError."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     times = _times(t)
-    if not np.isfinite(times).all():
-        raise ValueError("evolution time must be finite")
-    far = max(times.tolist(), key=abs, default=0.0)
-    norm = sum(abs(c) for c, _ in h.terms)
-    if not math.isfinite(norm * max(1.0, abs(far))):
-        raise NumericalIntegrityError(
-            f"sum |c| * max(1, |t|) exceeds the float range at t={far}: "
-            "the spectrum or the phases would overflow"
-        )
-    if norm * abs(far) >= PHASE_LIMIT:
-        raise NumericalIntegrityError(
-            f"sum |c| * |t| = {norm * abs(far):.3e} reaches 2^52 at t={far}: "
-            "the rounding of the phases alone is of order one radian"
-        )
     if method == "exact":
         rows = evolve_exact(s, h, times)
     else:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedsim
+from embedsim import cli
 from embedsim import (
     ConfigError,
     NumericalIntegrityError,
@@ -260,8 +261,6 @@ class TestRun:
 
     def test_the_evolution_time_is_split_over_the_moving_records(self, monkeypatch):
         # One evolution call per path serves every record with t != 0.
-        from embedsim import cli
-
         def slow(*args, **kwargs):
             time.sleep(0.2)
             return evolve_enlarged(*args, **kwargs)
@@ -275,8 +274,6 @@ class TestRun:
     @pytest.mark.parametrize("method, sizes", [("exact", [4, 3]), ("trotter2", [1] * 7)])
     def test_exact_takes_up_to_2_to_the_n_times_per_call_and_trotter_one(
             self, monkeypatch, method, sizes):
-        from embedsim import cli
-
         calls = []
         monkeypatch.setattr(cli, "evolve_enlarged",
                             lambda s, h, t, **kw: calls.append(len(t)) or evolve_enlarged(s, h, t, **kw))
@@ -375,6 +372,7 @@ class TestRun:
         records = run(config)
         assert records[0].roof_value == pytest.approx(0.7, abs=1e-3)
         assert records[0].roof_converged
+        assert records[0].value_sampled is None
 
 
 class TestEmit:
@@ -408,6 +406,21 @@ class TestEmit:
         assert dest.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_unknown_format_is_a_config_error(self, capsys):
+        with pytest.raises(ConfigError, match="'xml'"):
+            emit([], fmt="xml")
+        assert capsys.readouterr().out == ""
+
+    def test_a_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename {src} to {dst}")
+
+        cfg = write_config(tmp_path, BELL_MONOTONE)
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["--config", cfg, "--output", str(tmp_path / "out.json")]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -428,6 +441,22 @@ class TestMainExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 4
+
+    def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path, [BELL_MONOTONE])]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_disagreeing_paths_exit_3(self, tmp_path, monkeypatch, capsys):
+        evaluate = cli.evaluate_monotone
+
+        def off(*args, **kwargs):
+            value = evaluate(*args, **kwargs)
+            return dataclasses.replace(value, value=value.value + 1e-6)
+
+        monkeypatch.setattr(cli, "evaluate_monotone", off)
+        assert main(["--config", write_config(tmp_path, BELL_MONOTONE)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical-integrity error" in err and "disagree at t=0.0" in err
 
     def test_unwritable_destination(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BELL_MONOTONE)
@@ -773,13 +802,22 @@ class TestIntegerFields:
 
 
 def test_nan_roof_tolerance_exits_2(tmp_path):
-    # Python's json reads NaN; `tolerance <= 0` is False for it.
+    # Python's json reads NaN; the roof block has no tolerance key to read it into.
     payload = {**ROOF_WERNER, "roof": {"restarts": 1, "max_iterations": 40,
                                        "tolerance": float("nan")}}
     proc = run_cli(tmp_path, json.dumps(payload))
     assert proc.returncode == 2
-    assert "'roof.tolerance'" in proc.stderr
+    assert "'roof.tolerance': unknown key" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_the_roof_block_has_four_keys(tmp_path, capsys):
+    roof = {"extra_terms": 0, "max_iterations": 40, "restarts": 1, "seed": 3}
+    assert parse_config({**ROOF_WERNER, "roof": roof}).roof == RoofConfig(**roof)
+    # the old default of the removed key fails like any unknown key
+    payload = {**ROOF_WERNER, "roof": {**roof, "tolerance": 1e-6}}
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert "'roof.tolerance': unknown key" in capsys.readouterr().err
 
 
 def with_matrix_entry(entry):
@@ -806,11 +844,9 @@ class TestRealFields:
          "'hamiltonian[0].coeff'"),
         ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": True}}, "'mixed_state.p'"),
         ({**ROOF_WERNER, "mixed_state": {"preset": "werner", "p": "0.5"}}, "'mixed_state.p'"),
-        ({**ROOF_WERNER, "roof": {"restarts": 1, "tolerance": True}}, "'roof.tolerance'"),
-        ({**ROOF_WERNER, "roof": {"restarts": 1, "tolerance": "1e-3"}}, "'roof.tolerance'"),
     ], ids=["times-true", "times-string", "amplitude-true", "amplitude-string",
             "matrix-entry-true", "matrix-entry-string", "coeff-true", "coeff-string",
-            "p-true", "p-string", "tolerance-true", "tolerance-string"])
+            "p-true", "p-string"])
     def test_non_number_exits_2_naming_the_field(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
@@ -833,8 +869,11 @@ class TestQubitCountsAndStateForms:
           "monotone": "concurrence"}, "'mixed_state'"),
         ({"workflow": "roof", "n_qubits": 3, "mixed_state": {"preset": "werner", "p": 0.5},
           "monotone": "three_tangle"}, "'mixed_state'"),
+        ({**WORKED_EXAMPLE_EVOLVE, "hamiltonian": [{"coeff": 1.0, "pauli": "XYZ"}]},
+         "'hamiltonian'"),
     ], ids=["preset-ignores-n_qubits", "amplitudes-against-n_qubits", "preset-and-matrix",
-            "werner-and-matrix", "p-and-matrix", "roof-3-qubit-matrix", "roof-werner-three_tangle"])
+            "werner-and-matrix", "p-and-matrix", "roof-3-qubit-matrix", "roof-werner-three_tangle",
+            "hamiltonian-against-state"])
     def test_exits_2_naming_the_field(self, tmp_path, payload, field):
         proc = run_cli(tmp_path, payload)
         assert proc.returncode == 2
@@ -883,15 +922,20 @@ class TestOverridesAreConfigFields:
     ({**{k: v for k, v in ROOF_WERNER.items() if k != "roof"}, "shots": {"shots": 50, "seed": 7}},
      [], ShotPlan(50, 7)),
 ], ids=["shipped-config-with-shots-override", "shots-block-and-no-roof-block"])
-def test_a_shot_plan_makes_roof_value_the_shot_readout(tmp_path, capsys, payload, args, plan):
-    # the search runs exactly; the plan samples its winning decomposition once
+def test_a_shot_plan_reads_the_roof_out_in_value_sampled(tmp_path, capsys, payload, args, plan):
+    # the search runs exactly, and roof_value is its value with or without a
+    # plan; the plan samples the winning decomposition once, into value_sampled
     config = parse_config(payload)
     result = convex_roof_estimate(config.mixed_state, config.monotone, config.roof or RoofConfig())
     sampled = roof_objective(result.decomposition, config.monotone, plan)
     assert main(["--config", write_config(tmp_path, payload), *args]) == 0
     (record,) = json.loads(capsys.readouterr().out)
-    assert record["roof_value"] == sampled
+    assert (record["roof_value"], record["value_sampled"]) == (result.value, sampled)
     assert sampled != result.value
+    without = {k: v for k, v in payload.items() if k != "shots"}
+    assert main(["--config", write_config(tmp_path, without, "exact.json")]) == 0
+    (exact,) = json.loads(capsys.readouterr().out)
+    assert exact["roof_value"] == record["roof_value"] and exact["value_sampled"] is None
 
 
 FUZZ_BASE = {
@@ -904,8 +948,7 @@ FUZZ_BASE = {
     "times": [0.0, 0.5],
     "evolution": {"method": "trotter2", "steps": 4},
     "shots": {"shots": 100, "seed": 1},
-    "roof": {"extra_terms": 1, "max_iterations": 10, "restarts": 1, "tolerance": 1e-6,
-             "seed": 0},
+    "roof": {"extra_terms": 1, "max_iterations": 10, "restarts": 1, "seed": 0},
     "mixed_state": {"preset": "werner", "p": 0.8},
 }
 # The same config with the state and the mixed state given as numbers.
@@ -1009,7 +1052,7 @@ MUTABLE_PATHS = [
     ("hamiltonian", 0, "coeff"), ("hamiltonian", 0, "pauli"), ("monotone",), ("times",),
     ("times", 0), ("evolution",), ("evolution", "method"), ("evolution", "steps"), ("shots",),
     ("shots", "shots"), ("shots", "seed"), ("roof",), ("roof", "extra_terms"),
-    ("roof", "max_iterations"), ("roof", "restarts"), ("roof", "tolerance"), ("roof", "seed"),
+    ("roof", "max_iterations"), ("roof", "restarts"), ("roof", "seed"),
     ("mixed_state",), ("mixed_state", "p"),
 ]
 
@@ -1050,9 +1093,7 @@ def documents(draw):
         "times": draw(st.lists(FINITE, min_size=1, max_size=3)),
         "evolution": {"method": draw(st.sampled_from(METHODS)), "steps": draw(st.integers(1, 3))},
         "roof": {"extra_terms": draw(st.integers(0, 1)), "max_iterations": draw(st.integers(1, 3)),
-                 "restarts": draw(st.integers(1, 2)),
-                 "tolerance": draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e300])),
-                 "seed": draw(st.integers(0, 2**64 - 1))},
+                 "restarts": draw(st.integers(1, 2)), "seed": draw(st.integers(0, 2**64 - 1))},
     }
     if draw(st.booleans()):
         doc["shots"] = {"shots": draw(st.sampled_from([1, 1000, 2**62])),

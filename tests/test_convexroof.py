@@ -41,6 +41,10 @@ def random_rank2_state(rng, n=2):
 
 
 class TestDecomposition:
+    def test_needs_a_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            Decomposition(())
+
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             Decomposition(((0.4, BELL), (0.4, BELL)))
@@ -110,6 +114,19 @@ class TestDecompositionFromIsometry:
         with pytest.raises(ValueError):
             decomposition_from_isometry(rho, np.ones((3, 2)))
 
+    def test_an_isometry_with_a_nan_is_not_orthonormal(self):
+        # A NaN entry makes W^dagger W - I NaN, which no tolerance admits;
+        # once the NaN member is dropped, [1, 1] would steer one pure state.
+        rho = MixedState(np.diag([0.6, 0.4, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            decomposition_from_isometry(rho, np.array([[1.0, 1.0], [np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (1, 2, 2)])
+    def test_an_isometry_of_the_wrong_shape_is_rejected(self, rng, shape):
+        rho = random_rank2_state(rng)
+        with pytest.raises(ValueError, match="k x 2"):
+            decomposition_from_isometry(rho, np.ones(shape))
+
 
 class TestRoofObjective:
     def test_pure_state_single_member(self, rng):
@@ -129,14 +146,13 @@ class TestRoofObjective:
         d = eigendecomposition_start(rho)
         assert roof_objective(d, concurrence_spec()) >= wootters_oracle(rho) - 1e-9
 
-    @pytest.mark.parametrize("shots", [None], ids=["exact"])
-    def test_roof_value_is_the_objective_of_its_decomposition(self, shots):
+    def test_roof_value_is_the_objective_of_its_decomposition(self):
         cfg = RoofConfig(extra_terms=0, restarts=2, max_iterations=30)
         result = convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg)
-        objective = roof_objective(result.decomposition, concurrence_spec(), shots=shots)
+        objective = roof_objective(result.decomposition, concurrence_spec())
         assert result.value == pytest.approx(objective, abs=1e-12)
 
-    def test_shot_noise_roof_is_deterministic(self):
+    def test_search_and_its_shot_readout_are_deterministic(self):
         cfg = RoofConfig(extra_terms=0, restarts=1, max_iterations=10)
         a, b = (convex_roof_estimate(werner_state(0.8), concurrence_spec(), cfg) for _ in range(2))
         assert (a.value, a.history, a.iterations) == (b.value, b.history, b.iterations)
@@ -260,10 +276,9 @@ def random_isometries(rng, b, k, r):
     return convexroof._retract(rng.normal(size=(b, k, r)) + 1j * rng.normal(size=(b, k, r)))
 
 
-class TestCoordinateDescent:
+class TestConjugateGradient:
     """The batched search: Riemannian conjugate gradients over isometries,
-    one row per restart. The class keeps the name of the search it replaced,
-    so that its test IDs stay stable."""
+    one row per restart."""
 
     def test_quadratic_bowl(self):
         # tr(W^dagger A W) over 5 x 2 isometries is least, at the sum of the
@@ -316,10 +331,9 @@ class TestCoordinateDescent:
                 cut += 1
         assert cut
 
-    @pytest.mark.parametrize("cfg", [RoofConfig()], ids=["exact"])
-    def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch, cfg):
+    def test_a_batch_row_of_the_objective_is_its_batch_of_one(self, monkeypatch):
         rho = random_rank2_state(np.random.default_rng(8))
-        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), cfg)
+        f, _ = solve_start(monkeypatch, rho, concurrence_spec(), RoofConfig())
         # the first row is the spectral ensemble, padded with members of weight 0
         w = np.concatenate([np.eye(4, 2)[None], random_isometries(np.random.default_rng(2), 4, 4, 2)])
         values, grads = f(w)
@@ -327,6 +341,20 @@ class TestCoordinateDescent:
             value, grad = f(row[None])
             assert value[0] == values[i]
             np.testing.assert_array_equal(grad[0], grads[i])
+
+    def test_the_search_stops_at_the_module_gradient_tolerance(self, monkeypatch):
+        caught = []
+        descend = convexroof._conjugate_gradient
+
+        def spy(f, w0, *args):
+            caught.append(args)
+            return descend(f, w0, *args)
+
+        monkeypatch.setattr(convexroof, "_conjugate_gradient", spy)
+        result = convex_roof_estimate(werner_state(0.8), concurrence_spec(), RoofConfig(restarts=2))
+        assert caught == [(500, convexroof.GRADIENT_TOLERANCE)]
+        assert convexroof.GRADIENT_TOLERANCE == 1e-6
+        assert result.converged
 
     def test_werner_solve_makes_few_evaluator_calls(self, monkeypatch):
         rows, evaluator_calls = [], []
@@ -435,7 +463,26 @@ def test_werner_state_validation():
         werner_state(1.5)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), float("inf")])
-def test_roof_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
-    with pytest.raises(ValueError, match="tolerance"):
-        RoofConfig(tolerance=tolerance)
+def test_roof_config_has_no_tolerance_option():
+    # the gradient tolerance is the module's constant, not a search option
+    assert [f.name for f in dataclasses.fields(RoofConfig)] == [
+        "extra_terms", "max_iterations", "restarts", "seed"]
+    with pytest.raises(TypeError):
+        RoofConfig(tolerance=1e-6)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"extra_terms": -1}, "extra_terms"),
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"restarts": 0}, "restarts"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
+], ids=["extra_terms", "max_iterations", "restarts", "negative-seed", "seed-2-to-the-64"])
+def test_roof_config_rejects_out_of_range_options(options, message):
+    with pytest.raises(ValueError, match=message):
+        RoofConfig(**options)
+
+
+def test_wootters_oracle_refuses_three_qubits():
+    with pytest.raises(ValueError, match="two qubits"):
+        wootters_oracle(MixedState(np.eye(8) / 8))

@@ -1,3 +1,4 @@
+import functools
 import operator
 import tracemalloc
 
@@ -40,18 +41,39 @@ def test_plan_validation():
         evolve(s, h, np.inf)
     with pytest.raises(ValueError):
         evolve(s, h, 1.0, method="trotter1", steps=0)
+    with pytest.raises(ValueError, match="order"):
+        evolve_trotter(s, h, 1.0, 1, order=3)
+
+
+def propagators(steps=1):
+    """`evolve` under each method and the two propagators it calls, each as
+    f(s, h, t); every one refuses bad times on its own."""
+    return ([functools.partial(evolve, method=m, steps=steps) for m in METHODS] + [evolve_exact]
+            + [functools.partial(evolve_trotter, steps=steps, order=o) for o in (1, 2)])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_times_that_are_not_finite_are_refused(t):
+    s = np.array([1.0, 0.0, 0.0, 0.0])
+    h = PauliSum.from_terms([(1.0, "XY"), (0.5, "ZI")])
+    for propagate in propagators():
+        with pytest.raises(ValueError, match="finite"):
+            propagate(s, h, t)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_exact(s, h, [0.5, t])
 
 
 def test_overflowing_spectrum_or_phases_are_refused():
     s = np.array([1.0, 0.0, 0.0, 0.0])
     huge = PauliSum.from_terms([(1e300, "XY"), (1e300, "ZI")])
     for h, t in ((huge, 1e10), (PauliSum.from_terms([(1.7e308, "XY"), (1.7e308, "ZI")]), 1e-300)):
-        for method in METHODS:
+        for propagate in propagators():
             with pytest.raises(NumericalIntegrityError):
-                evolve(s, h, t, method)
+                propagate(s, h, t)
     with pytest.raises(NumericalIntegrityError):
         evolve_enlarged(EnlargedState(np.eye(8)[0]), embed_hamiltonian(huge), 1e10)
-    assert np.isfinite(evolve(s, huge, 1e-300)).all()
+    for propagate in propagators():
+        assert np.isfinite(propagate(s, huge, 1e-300)).all()
 
 
 def test_phases_beyond_2_to_the_52_are_refused():
@@ -64,11 +86,11 @@ def test_phases_beyond_2_to_the_52_are_refused():
     below = np.nextafter(PHASE_LIMIT / norm, 0.0)
     while below * norm >= PHASE_LIMIT:
         below = np.nextafter(below, 0.0)
-    for method in METHODS:
+    for propagate in propagators(steps=4):
         for t in (1e300, -1e300, PHASE_LIMIT / norm * 2):
             with pytest.raises(NumericalIntegrityError, match="2\\^52"):
-                evolve(w, h, t, method, 4)
-        out = evolve(w, h, below, method, 4)
+                propagate(w, h, t)
+        out = propagate(w, h, below)
         assert np.isfinite(out).all()
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 

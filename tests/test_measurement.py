@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from embedsim import (
+    NumericalIntegrityError,
     PauliString,
     PureState,
     ShotPlan,
@@ -149,3 +150,10 @@ def test_arity_mismatch_rejected():
 def test_combine_estimates_length_check():
     with pytest.raises(ValueError):
         combine_estimates(concurrence_spec(), [1.0])
+
+
+@pytest.mark.parametrize("exact", [1.5, -1.5])
+def test_an_expectation_outside_the_outcome_range_is_refused(exact):
+    # a +/-1 valued observable has its expectation in [-1, 1]
+    with pytest.raises(NumericalIntegrityError, match="outside \\[0, 1\\]"):
+        sample_estimates([0.5, exact], ShotPlan(10, 0))

@@ -67,6 +67,10 @@ class TestMonotoneSpec:
         with pytest.raises(ValueError):
             MonotoneSpec("bad", 2, ((0, 1),), ())
 
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(ValueError, match="n_qubits"):
+            MonotoneSpec("none", 0, (("Y",),))
+
     def test_empty_factors_rejected(self):
         with pytest.raises(ValueError):
             MonotoneSpec("constant", 2, ())
@@ -142,6 +146,14 @@ class TestConcurrence:
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
             concurrence(ZERO3)
+
+    def test_unknown_path_rejected(self):
+        with pytest.raises(ValueError, match="unknown path 'tomography'"):
+            evaluate_monotone(BELL, concurrence_spec(), "tomography")
+
+    def test_direct_path_refuses_an_enlarged_state(self):
+        with pytest.raises(ValueError, match="direct path"):
+            evaluate_monotone(embed_state(BELL), concurrence_spec(), "direct")
 
     def test_observable_count(self):
         assert concurrence(BELL, "embedded").observable_count == 2

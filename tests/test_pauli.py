@@ -206,6 +206,16 @@ class TestPauliSum:
         with pytest.raises(ValueError):
             PauliSum.from_terms([(1.0 + 0.5j, "X")])
 
+    def test_keeps_a_complex_coefficient_with_no_imaginary_part_as_real(self):
+        ((coeff, string),) = PauliSum.from_terms([(2.0 + 0j, "XY")]).terms
+        assert (type(coeff), coeff, string) == (float, 2.0, PauliString("XY"))
+
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(ValueError, match="qubit count must be >= 1"):
+            PauliSum(0, ())
+        with pytest.raises(ValueError, match="qubit count required"):
+            PauliSum.from_terms([])
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(DimensionError):
             PauliSum.from_terms([(1.0, "X"), (1.0, "XY")])
