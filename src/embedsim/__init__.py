@@ -31,7 +31,6 @@ from .errors import CapacityError, ConfigError, DimensionError, NumericalIntegri
 from .evolution import evolve, evolve_enlarged, evolve_exact, evolve_trotter
 from .measurement import (
     ShotPlan,
-    combine_estimates,
     sample_estimates,
     sample_expectation,
     sample_monotone,
@@ -41,6 +40,7 @@ from .monotones import (
     MonotoneValue,
     antilinear_expectation_direct,
     antilinear_expectation_embedded,
+    combine_estimates,
     concurrence,
     concurrence_spec,
     contract,

@@ -25,10 +25,11 @@ from .convexroof import RoofConfig, convex_roof_estimate, roof_objective, werner
 from .embedding import embed_hamiltonian, embed_state
 from .errors import CapacityError, ConfigError, NumericalIntegrityError
 from .evolution import METHODS, evolve, evolve_enlarged
-from .measurement import ShotPlan, _nth_plan, combine_estimates, sample_estimates
+from .measurement import ShotPlan, _nth_plan, sample_estimates
 from .monotones import (
     MONOTONE_PRESETS,
     MonotoneSpec,
+    combine_estimates,
     evaluate_monotone,
     expand_to_observables,
     tomography_baseline,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embedding import embed_state
 from .measurement import ShotPlan, _nth_plan, sample_monotone
-from .monotones import MonotoneSpec, _expansion, evaluate_monotone
+from .monotones import MonotoneSpec, _expansion, evaluate_monotone, tomography_baseline
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, apply_pauli_sum, dense_matrix
 
 RANK_EPS = 1e-10
@@ -307,7 +307,7 @@ def efficiency_check(k: int, l: int, m: int, n: int) -> bool:
     """Embedded roof beats full tomography when k*l*m < 2^(2N) - 1."""
     if min(k, l, m, n) < 1:
         raise ValueError("all arguments must be positive integers")
-    return k * l * m < (1 << (2 * n)) - 1
+    return k * l * m < tomography_baseline(n)
 
 
 def werner_state(p: float) -> MixedState:

@@ -1,24 +1,25 @@
 """Unitary time evolution: the exact propagator and first / second order
 product-formula approximations (hbar = 1).
 
-`evolve` and `evolve_exact` take one time or a 1-D sequence of times; more
-dimensions are refused. Under "exact" the whole sequence shares one
-Chebyshev recurrence v_{k+1} = 2 (H / L) v_k - v_{k-1}, L = sum |c| >=
-||H||, and each time sums its own coefficients
+`evolve` and both propagators take one time, which gives one state, or a
+1-D sequence of times, which gives one row per time; more dimensions are
+refused. Under "exact" the whole sequence shares one Chebyshev recurrence
+v_{k+1} = 2 (H / L) v_k - v_{k-1}, L = sum |c| >= ||H||, and each time
+sums its own coefficients
 c_k(Lt) = (2 - delta_k0) (-i)^k J_k(Lt) against it (Tal-Ezer & Kosloff, J.
 Chem. Phys. 81, 3967 (1984)); the matvec is the dense matrix of H. Where
 the series, for its number of terms and of times, would cost more than one
 `eigh`, every time is projected onto `PauliSum.spectrum`.
 
-The product formulas propagate each time on its own, by one schedule: a
-step is the maximal runs of consecutive commuting terms
-(`PauliSum.commuting_runs`) in stored order, and at second order the same
-runs in reverse; the steps are chained, and a run repeated back to back is
-applied once at the summed angle. A run with at least PHASE_RUN_TERMS
-I/Z-only terms applies them together as one diagonal phase exp(-i a d)
-(`PauliSum._phase_runs`), then its other terms one by one. The merged and
-fused product is the same operator, up to rounding. Every factor rotates one
-complex buffer in place.
+The product formulas propagate each time of a list on its own, through one
+shared scratch buffer, by one schedule: a step is the maximal runs of
+consecutive commuting terms (`PauliSum.commuting_runs`) in stored order,
+and at second order the same runs in reverse; the steps are chained, and
+a run repeated back to back is applied once at the summed angle. A run with
+at least PHASE_RUN_TERMS I/Z-only terms applies them together as one
+diagonal phase exp(-i a d) (`PauliSum._phase_runs`), then its other terms
+one by one. The merged and fused product is the same operator, up to
+rounding. Every factor rotates the time's row in place.
 
 Enlarged-space trajectories stay structurally real. Every embedded term
 conserves Y on the ancilla, so every method evolves the component x - iy of
@@ -186,11 +187,11 @@ def _chebyshev(s: np.ndarray, h: PauliSum, norm: float, times: np.ndarray,
 
 
 def evolve_trotter(
-    s: np.ndarray, h: PauliSum, t: float, steps: int, order: int = 1,
-    out: np.ndarray | None = None,
+    s: np.ndarray, h: PauliSum, t: float | Sequence[float], steps: int, order: int = 1,
 ) -> np.ndarray:
-    """Product-formula propagation over the commuting runs of h; a time that
-    `_phase_norm` refuses raises first.
+    """Product-formula propagation over the commuting runs of h: one state
+    for a float t, one row per time for a 1-D sequence, each time propagated
+    on its own. Times that `_phase_norm` refuses raise first.
 
     One step applies the runs (`PauliSum.commuting_runs`) in stored order,
     at order 2 followed by the same runs in reverse. The steps are chained,
@@ -201,13 +202,13 @@ def evolve_trotter(
     to KERNEL_CACHE_QUBITS qubits), and the other terms follow in stored
     order. The terms of a run commute, so this is the unmerged operator up
     to rounding. Each factor exp(-iaP) s = cos(a) s + sin(a) (-iP) s, and
-    each phase, is written in place into one complex buffer through one
-    complex scratch buffer: `out` if given (a complex array of s's shape,
-    not s itself), else a new one. A real s comes back complex; its
-    imaginary part is exactly zero when every -iP is real, as for an
+    each phase, is written in place into the time's row through one complex
+    scratch buffer, which all the times share. A real s comes back complex;
+    its imaginary part is exactly zero when every -iP is real, as for an
     EmbeddedHamiltonian, which has no I/Z-only term.
     """
-    _phase_norm(h, _times(t))
+    times = _times(t)
+    _phase_norm(h, times)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
@@ -215,26 +216,25 @@ def evolve_trotter(
     s, runs = _checked(s, h.n), h._phase_runs
     ahead = list(range(len(runs)))
     step = ahead + ahead[::-1] if order == 2 else ahead
-    dt = t / steps / order
-    factors = functools.cache(lambda i, n: _factors(runs[i][1], dt * n))
-    if out is None:
-        out = np.array(s, dtype=complex)
-    else:
+    rows = np.empty((times.size, s.size), complex)
+    scratch = np.empty(s.size, complex)
+    for out, u in zip(rows, times.tolist()):
+        dt = u / steps / order
+        factors = functools.cache(lambda i, n: _factors(runs[i][1], dt * n))
         out[...] = s
-    scratch = np.empty_like(out)
-    schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
-    for i, repeats in itertools.groupby(schedule):
-        n, d = sum(1 for _ in repeats), runs[i][0]
-        if d is not None:  # exp(-i a d), built in the scratch buffer
-            np.multiply(d, -dt * n, out=scratch.real)
-            np.sin(scratch.real, out=scratch.imag)
-            np.cos(scratch.real, out=scratch.real)
-            out *= scratch
-        for cos, w, k in factors(i, n):
-            np.multiply(k.image(out, scratch), w, out=scratch)
-            out *= cos
-            out += scratch
-    return out
+        schedule = itertools.chain.from_iterable(itertools.repeat(step, steps))
+        for i, repeats in itertools.groupby(schedule):
+            n, d = sum(1 for _ in repeats), runs[i][0]
+            if d is not None:  # exp(-i a d), built in the scratch buffer
+                np.multiply(d, -dt * n, out=scratch.real)
+                np.sin(scratch.real, out=scratch.imag)
+                np.cos(scratch.real, out=scratch.real)
+                out *= scratch
+            for cos, w, k in factors(i, n):
+                np.multiply(k.image(out, scratch), w, out=scratch)
+                out *= cos
+                out += scratch
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
 def _factors(run, a: float) -> list:
@@ -257,10 +257,7 @@ def evolve(
     if method == "exact":
         rows = evolve_exact(s, h, times)
     else:
-        order = 1 if method == "trotter1" else 2
-        rows = np.empty((times.size, np.size(s)), complex)
-        for row, u in zip(rows, times.tolist()):
-            evolve_trotter(s, h, u, steps, order, out=row)
+        rows = evolve_trotter(s, h, times, steps, 1 if method == "trotter1" else 2)
     norm = _norm(s)
     for u, row in zip(times.tolist(), rows):
         drift = abs(_norm(row) - norm)

@@ -3,7 +3,9 @@
 Every expanded observable is a single Pauli string, i.e. a +/-1 valued
 measurement; an estimate is the mean of S simulated outcomes. Observables
 draw from independent generators derived deterministically from the plan
-seed, so results do not depend on evaluation order.
+seed, so results do not depend on evaluation order. The estimates are
+decoded into a monotone by `monotones.combine_estimates`, the decode the
+embedded path applies to exact expectations; it is importable from here too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .embedding import EnlargedState
 from .errors import NumericalIntegrityError
-from .monotones import MonotoneSpec, contract, expand_to_observables
+from .monotones import MonotoneSpec, combine_estimates, expand_to_observables
 from .pauli import PauliString, PauliSum, expectation
 
 
@@ -65,18 +67,6 @@ def sample_estimates(exact, plan: ShotPlan) -> tuple[float, ...]:
     """Shot estimates of +/-1 valued observables from their exact
     expectations; observable i draws from stream i of the plan."""
     return tuple([_draw(e, plan, i) for i, e in enumerate(exact)])
-
-
-def combine_estimates(spec: MonotoneSpec, per_observable: list[float]) -> float:
-    """Contract raw per-observable estimates (ordered as expand_to_observables)
-    into the monotone scalar. Feeding exact expectations recovers the
-    noiseless embedded value."""
-    est = np.asarray(per_observable, dtype=float)
-    expected = len(expand_to_observables(spec))
-    if est.shape != (expected,):
-        raise ValueError(f"expected {expected} estimates, got shape {est.shape}")
-    # Observables come in (Z(x)O, X(x)O) pairs, one pair per distinct label.
-    return float(contract(spec, est[0::2] - 1j * est[1::2]))
 
 
 def sample_monotone(

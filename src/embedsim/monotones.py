@@ -4,7 +4,9 @@ The monotone family is generated by the conjugation operator K, sigma_y, and
 contractions through the fixed metric diag(-1, 1, 0, 1). Each monotone is the
 modulus of a signed sum of products of antilinear expectations <psi|O|psi*>,
 which the enlarged space turns into pairs of ordinary Hermitian expectations
-<Z(x)O> - i <X(x)O>.
+<Z(x)O> - i <X(x)O>. This module owns the whole read: a spec is compiled once
+(`_expansion`), `contract` is the one signed product, and `combine_estimates`
+is the one decode of (Z(x)O, X(x)O) readings, exact or sampled, into a value.
 """
 
 from __future__ import annotations
@@ -105,24 +107,20 @@ class MonotoneSpec:
 
 @dataclass(frozen=True)
 class MonotoneValue:
-    """Audit record: the scalar plus every antilinear expectation it was
-    contracted from (one tuple of factor expectations per expansion term)."""
+    """The monotone of one state, and how many enlarged-space observables its
+    embedded read takes."""
 
     value: float
-    signs: tuple[float, ...]
-    term_expectations: tuple[tuple[complex, ...], ...]
     observable_count: int
-
-    def recompute(self) -> float:
-        return float(_signed_product(np.array(self.signs), np.array(self.term_expectations)))
 
 
 class _Expansion(NamedTuple):
     """A spec compiled for contraction: a one-term sum per distinct Pauli
-    label, one metric sign per term, and the (term x factor) label index of
-    every factor."""
+    label, their embedded pairs (Z(x)O, X(x)O) in the same order, one metric
+    sign per term, and the (term x factor) label index of every factor."""
 
     sums: tuple[PauliSum, ...]
+    observables: tuple[PauliSum, ...]
     signs: np.ndarray
     index: np.ndarray
 
@@ -147,28 +145,35 @@ def _expansion(spec: MonotoneSpec) -> _Expansion:
     position = {op: i for i, op in enumerate(dict.fromkeys(itertools.chain(*terms)))}
     index = np.array([[position[op] for op in ops] for ops in terms], dtype=np.intp)
     sums = tuple(PauliSum.from_terms([(1.0, label)]) for label in position)
-    return _Expansion(sums, _freeze(np.array(signs)), _freeze(index))
-
-
-def _signed_product(signs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """|sum_t signs[t] prod_i factors[..., t, i]|."""
-    return np.abs(factors.prod(axis=-1) @ signs)
+    observables = tuple(itertools.chain.from_iterable(map(embed_observable, sums)))
+    return _Expansion(sums, observables, _freeze(np.array(signs)), _freeze(index))
 
 
 def contract(spec: MonotoneSpec, antilinear) -> np.ndarray:
-    """The monotone from the antilinear expectations of the spec's distinct
-    labels, ordered as in expand_to_observables: shape (labels,) for one
-    state, (..., labels) for a batch."""
+    """|sum_t sign_t prod_i antilinear[..., label_ti]|: the monotone from the
+    antilinear expectations of the spec's distinct labels, ordered as in
+    expand_to_observables, shape (labels,) for one state, (..., labels) for
+    a batch."""
     e = _expansion(spec)
-    return _signed_product(e.signs, np.asarray(antilinear)[..., e.index])
+    return np.abs(np.asarray(antilinear)[..., e.index].prod(axis=-1) @ e.signs)
 
 
-@functools.lru_cache(maxsize=32)
+def combine_estimates(spec: MonotoneSpec, per_observable: list[float]) -> float:
+    """The monotone from readings of expand_to_observables(spec), in its
+    order: each (Z(x)O, X(x)O) pair is read as <Z(x)O> - i <X(x)O>. Exact
+    expectations give the embedded value, shot estimates the sampled one."""
+    est = np.asarray(per_observable, dtype=float)
+    expected = len(_expansion(spec).observables)
+    if est.shape != (expected,):
+        raise ValueError(f"expected {expected} estimates, got shape {est.shape}")
+    return float(contract(spec, est[0::2] - 1j * est[1::2]))
+
+
 def expand_to_observables(spec: MonotoneSpec) -> tuple[PauliSum, ...]:
     """Enlarged-space Hermitian observables sufficient to evaluate the
     monotone: the pair (Z(x)O, X(x)O) per distinct label O, at most 2 * 3^k
-    of them. Memoised per spec."""
-    return tuple(itertools.chain.from_iterable(map(embed_observable, _expansion(spec).sums)))
+    of them, compiled once per spec."""
+    return _expansion(spec).observables
 
 
 def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:
@@ -196,16 +201,10 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
     e = _expansion(spec)
     if path == "embedded":
         tilde = embed_state(state) if isinstance(state, PureState) else state
-        pairs = np.array([expectation(tilde, o) for o in expand_to_observables(spec)])
-        ex = pairs[0::2] - 1j * pairs[1::2]
+        value = combine_estimates(spec, [expectation(tilde, o) for o in e.observables])
     else:
-        ex = np.array([antilinear_expectation_direct(state, o) for o in e.sums])
-    return MonotoneValue(
-        value=float(contract(spec, ex)),
-        signs=tuple(e.signs.tolist()),
-        term_expectations=tuple(map(tuple, ex[e.index].tolist())),
-        observable_count=len(expand_to_observables(spec)),
-    )
+        value = float(contract(spec, [antilinear_expectation_direct(state, o) for o in e.sums]))
+    return MonotoneValue(value, len(e.observables))
 
 
 class EmbeddedEvaluator:

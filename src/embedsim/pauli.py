@@ -273,15 +273,17 @@ def expectation(s, o: PauliSum) -> float:
     """<s|O|s> for Hermitian O: c * i^{#Y} * <s|signs*flip(s)> per term, read
     through one scratch buffer of the state's own dtype. On a real s an odd-Y
     term adds exactly 0 to the real part. The imaginary residue is asserted
-    tiny relative to sum |c| (at least 1), and discarded."""
+    tiny relative to sum |c| times <s|s> (each at least 1), and discarded."""
     vec = _checked(s.amplitudes if hasattr(s, "amplitudes") else s, o.n)
     scratch = np.empty(vec.size, np.result_type(vec, 1.0))
     val = 0j
     for coeff, string in o.terms:
         k = _kernel(string.symbols)
         val += coeff * k.phase * np.vdot(vec, k.image(vec, scratch))
-    scale = max(1.0, sum(abs(c) for c, _ in o.terms))
-    if abs(val.imag) >= HERMITICITY_ATOL * scale:
+    bound = HERMITICITY_ATOL * max(1.0, sum(abs(c) for c, _ in o.terms))
+    # The rounding residue grows with <s|s>; it is read only past the unit
+    # bound, so a unit state's read costs no more.
+    if abs(val.imag) >= bound and abs(val.imag) >= bound * max(1.0, np.vdot(vec, vec).real):
         raise ValueError(
             f"expectation has imaginary residue {val.imag:.3e}; operator not Hermitian?"
         )

@@ -44,9 +44,7 @@ def drift_propagator(monkeypatch, method, scale, only=None):
     inner = evolve_exact if method == "exact" else evolve_trotter
 
     def drifting(s, h, *args, **kwargs):
-        out = inner(s, h, *args, **kwargs)  # in place, as evolve may pass `out`
-        out *= scale if only is None or h is only else 1.0
-        return out
+        return inner(s, h, *args, **kwargs) * (scale if only is None or h is only else 1.0)
 
     monkeypatch.setattr(evolution, inner.__name__, drifting)
 

@@ -45,6 +45,12 @@ def test_plan_validation():
         evolve_trotter(s, h, 1.0, 1, order=3)
 
 
+def test_trotter_takes_no_output_buffer():
+    s, h = np.array([1.0, 0.0]), PauliSum.from_terms([(1.0, "X")])
+    with pytest.raises(TypeError):
+        evolve_trotter(s, h, 1.0, 1, 1, out=np.empty(2, complex))
+
+
 def propagators(steps=1):
     """`evolve` under each method and the two propagators it calls, each as
     f(s, h, t); every one refuses bad times on its own."""
@@ -634,6 +640,8 @@ class TestChebyshevSeries:
                 assert np.max(np.abs(rows - single)) <= 1e-14
             else:
                 assert np.array_equal(rows, single)
+                direct = evolve_trotter(psi.amplitudes, h, TIMES, 3, int(method[-1]))
+                assert np.array_equal(direct, single)
             states = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), TIMES, method, 3)
             for state, t in zip(states, TIMES):
                 one = evolve_enlarged(embed_state(psi), embed_hamiltonian(h), t, method, 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import embedsim
 from embedsim import (
     NumericalIntegrityError,
     PauliString,
@@ -17,12 +18,16 @@ from embedsim import (
     sample_monotone,
     three_tangle_spec,
 )
+from embedsim import measurement, monotones
+from embedsim.monotones import MONOTONE_PRESETS
 from embedsim.pauli import PauliSum
 
 from conftest import random_state
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
 GHZ = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
+PRESETS = (("concurrence", 2), ("three_tangle", 3), ("second_order", 2),
+           ("n_qubit", 2), ("n_qubit", 3), ("n_qubit", 4), ("n_qubit", 5))
 
 
 def test_shot_plan_validation():
@@ -104,13 +109,18 @@ def test_sample_monotone_ghz_tangle():
 
 
 def test_noiseless_limit_equals_embedded_value(rng):
-    for spec, n in ((concurrence_spec(), 2), (three_tangle_spec(), 3)):
+    # The embedded path decodes its exact readings by combine_estimates itself.
+    for name, n in PRESETS:
+        spec = MONOTONE_PRESETS[name](n)
         for _ in range(10):
             tilde = embed_state(random_state(rng, n))
             exact = [expectation(tilde, o) for o in expand_to_observables(spec)]
-            combined = combine_estimates(spec, exact)
-            embedded = evaluate_monotone(tilde, spec, "embedded").value
-            assert combined == pytest.approx(embedded, abs=1e-12)
+            assert combine_estimates(spec, exact) == evaluate_monotone(tilde, spec, "embedded").value
+
+
+def test_the_decode_is_the_one_in_monotones():
+    assert measurement.combine_estimates is monotones.combine_estimates
+    assert embedsim.combine_estimates is monotones.combine_estimates
 
 
 def test_determinism_bit_identical():

@@ -422,6 +422,14 @@ class TestExpectation:
             expected = (v.conj() @ h.dense() @ v).real
             assert expectation(v, h) == pytest.approx(expected, rel=1e-9, abs=1e-7)
 
+    def test_a_state_of_large_norm_is_read_as_hermitian(self):
+        # The imaginary rounding residue grows with <s|s> too: on this vector
+        # scaled by 1e9 it is about 43, far above 1e-12 * sum |c|.
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        h = PauliSum.from_terms([(1.0, "XY"), (0.5, "YZ")])
+        assert expectation(v * 1e9, h) == pytest.approx(1e18 * expectation(v, h), rel=1e-12)
+
 
 class TestStates:
     def test_pure_state_norm_enforced(self):
