@@ -8,13 +8,16 @@ label, and the monotone is homogeneous in them, so the objective and its
 exact gradient never build a 2^N member vector. A Riemannian
 conjugate-gradient search (Polak-Ribiere+, QR retraction, Armijo
 backtracking) descends on the complex Stiefel manifold; its restarts run in
-one batch, each exactly as it would alone. A restart stops once the norm of
-its Riemannian gradient is <= GRADIENT_TOLERANCE, and `converged` says that
-the winning restart reached it. The objective is >= 0, so a restart falling
-below 1e-12 ends the search; the least final value wins. The result is an
-upper bound: every decomposition is feasible. The search reads no shots: a
-sampled objective is piecewise constant in W. A shot readout of the winning
-decomposition is `roof_objective(result.decomposition, spec, plan)`.
+one batch, each exactly as it would alone. The backtracking evaluates its
+trial steps LINE_SEARCH_RUNGS at a time, in one batched call, and accepts
+the step a search trying one halving at a time would accept. A restart
+stops once the norm of its Riemannian gradient is <= GRADIENT_TOLERANCE,
+and `converged` says that the winning restart reached it. The objective is
+>= 0, so a restart falling below 1e-12 ends the search; the least final
+value wins. The result is an upper bound: every decomposition is feasible.
+The search reads no shots: a sampled objective is piecewise constant in W.
+A shot readout of the winning decomposition is
+`roof_objective(result.decomposition, spec, plan)`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import embed_state
-from .measurement import ShotPlan, _nth_plan, sample_monotone
+from .measurement import ShotPlan, _integer_fields, _nth_plan, sample_monotone
 from .monotones import MonotoneSpec, _expansion, evaluate_monotone, tomography_baseline
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, apply_pauli_sum, dense_matrix
 
@@ -33,6 +36,7 @@ RECONSTRUCTION_ATOL = 1e-8
 PROB_FLOOR = 1e-14
 ARMIJO = 1e-4
 MAX_HALVINGS = 20
+LINE_SEARCH_RUNGS = 4
 GRADIENT_TOLERANCE = 1e-6
 
 
@@ -74,6 +78,7 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "extra_terms", "max_iterations", "restarts", "seed")
         if self.extra_terms < 0:
             raise ValueError("extra_terms must be >= 0")
         if self.max_iterations < 1 or self.restarts < 1:
@@ -205,7 +210,10 @@ def _conjugate_gradient(f, w0, max_iterations, tolerance):
     manifold, for every isometry of w0 (b, k, r) in one batch. f maps a batch
     of isometries to (values, Euclidean gradients). Each step backtracks from
     twice the last accepted step, halving up to MAX_HALVINGS times, to the
-    Armijo condition; the previous direction is transported by projection
+    Armijo condition. The trials go LINE_SEARCH_RUNGS at a time into one
+    retraction and one f call, and a row takes the first trial of its block
+    that passes, so the accepted step is the one a search trying each halving
+    in turn would take. The previous direction is transported by projection
     onto the new tangent space. A row leaves the batch when its Riemannian
     gradient norm is <= tolerance, when its line search finds no decrease,
     or after max_iterations steps, and descends exactly as it would alone
@@ -219,6 +227,8 @@ def _conjugate_gradient(f, w0, max_iterations, tolerance):
     histories = [[float(v)] for v in fw]
     step = np.full(len(w), 0.5)  # the first trial is twice this
     iterations = np.zeros(len(w), dtype=int)
+    halvings = 0.5 ** np.arange(MAX_HALVINGS + 1)  # powers of two: t * 0.5^j is exact
+    rungs = LINE_SEARCH_RUNGS
     live = np.flatnonzero(np.sqrt(gg) > tolerance) if (fw >= 1e-12).all() else np.arange(0)
     while live.size:
         wl, dl, fl = w[live], d[live], fw[live]
@@ -226,16 +236,22 @@ def _conjugate_gradient(f, w0, max_iterations, tolerance):
         t = 2.0 * step[live]
         new_w, new_f, new_g = np.empty_like(wl), np.empty(live.size), np.empty_like(wl)
         pending = np.arange(live.size)
-        for _ in range(MAX_HALVINGS + 1):
-            points = _retract(wl[pending] + t[pending, None, None] * dl[pending])
+        for first in range(0, MAX_HALVINGS + 1, rungs):
+            # the next `rungs` trials of every pending row, (rows, rungs), in one call
+            trial = t[pending, None] * halvings[first:first + rungs]
+            ladder = wl[pending, None] + trial[..., None, None] * dl[pending, None]
+            points = _retract(ladder.reshape(-1, *wl.shape[1:]))
             fp, gp = f(points)
-            ok = fp <= fl[pending] + t[pending] * drop[pending]
-            done = pending[ok]
-            new_w[done], new_f[done], new_g[done] = points[ok], fp[ok], gp[ok]
-            pending = pending[~ok]
+            ok = fp.reshape(trial.shape) <= fl[pending, None] + trial * drop[pending, None]
+            hit = ok.any(axis=1)
+            rung = ok[hit].argmax(axis=1)  # the first trial that decreases enough
+            pick = np.flatnonzero(hit) * trial.shape[1] + rung
+            done = pending[hit]
+            new_w[done], new_f[done], new_g[done] = points[pick], fp[pick], gp[pick]
+            t[done] = trial[hit, rung]
+            pending = pending[~hit]
             if not pending.size:
                 break
-            t[pending] *= 0.5
         moved = np.ones(live.size, dtype=bool)
         moved[pending] = False  # no decrease: the row leaves the batch
         rows = live[moved]

@@ -10,6 +10,7 @@ embedded path applies to exact expectations; it is importable from here too.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,25 @@ class ShotPlan:
     seed: int
 
     def __post_init__(self):
+        _integer_fields(self, "shots", "seed")
         if not 1 <= self.shots < 2**63:
             raise ValueError("shots must lie in [1, 2^63)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+
+
+def _integer_fields(obj, *fields: str) -> None:
+    """Store each named field of the frozen dataclass `obj` as a Python int.
+    A Python or numpy integer passes (`operator.index`); a bool, a float or
+    anything else raises ValueError naming the field."""
+    for field in fields:
+        value = getattr(obj, field)
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            object.__setattr__(obj, field, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
 def _nth_plan(plan: ShotPlan, k: int) -> ShotPlan:

@@ -357,25 +357,61 @@ class TestConjugateGradient:
         assert result.converged
 
     def test_werner_solve_makes_few_evaluator_calls(self, monkeypatch):
-        rows, evaluator_calls = [], []
-        steered = convexroof._steered_objective
-
-        def count_rows(scaled, spec):
-            f = steered(scaled, spec)
-
-            def counted(w):
-                rows.append(w.shape[0] * w.shape[1])
-                return f(w)
-
-            return counted
-
-        monkeypatch.setattr(convexroof, "_steered_objective", count_rows)
+        evaluator_calls = []
+        rows = count_objective_rows(monkeypatch)
         monkeypatch.setattr(EmbeddedEvaluator, "antilinear_batch",
                             lambda self, vecs: evaluator_calls.append(len(vecs)))
         convex_roof_estimate(werner_state(0.8), concurrence_spec())
         # member rows of the r x r forms; no 2^N member vector is evaluated
         assert sum(rows) <= 20_000
         assert not evaluator_calls
+
+    def test_werner_solve_makes_few_objective_calls(self, monkeypatch):
+        # one call per line-search block of trials, not one per trial
+        calls = count_objective_rows(monkeypatch)
+        convex_roof_estimate(werner_state(0.8), concurrence_spec())
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize("case", ["werner", "rank-3", "ghz-w"])
+    def test_the_ladder_accepts_the_steps_of_the_one_trial_search(self, monkeypatch, case):
+        a = np.random.default_rng(17).normal(size=(4, 3, 2)) @ [1, 1j]
+        rho, spec, cfg = {
+            "werner": (werner_state(0.8), concurrence_spec(), RoofConfig()),
+            "rank-3": (MixedState(a @ a.conj().T / np.linalg.norm(a) ** 2), concurrence_spec(), RoofConfig()),
+            "ghz-w": (ghz_w_mixture(0.7), three_tangle_spec(), RoofConfig(extra_terms=1, restarts=2)),
+        }[case]
+        calls = count_objective_rows(monkeypatch)
+        ladder = convex_roof_estimate(rho, spec, cfg)
+        blocks = len(calls)
+        # one trial per call: the halving-by-halving search
+        monkeypatch.setattr(convexroof, "LINE_SEARCH_RUNGS", 1)
+        single = convex_roof_estimate(rho, spec, cfg)
+        assert len(calls) - blocks > blocks
+        assert (ladder.value, ladder.history, ladder.iterations, ladder.converged) == (
+            single.value, single.history, single.iterations, single.converged)
+        assert len(ladder.decomposition.members) == len(single.decomposition.members)
+        for (p, psi), (q, phi) in zip(ladder.decomposition.members, single.decomposition.members):
+            assert p == q
+            np.testing.assert_array_equal(psi.amplitudes, phi.amplitudes)
+
+
+def count_objective_rows(monkeypatch):
+    """The member rows (isometries x k) of every later call to a roof
+    objective, one entry per call."""
+    rows = []
+    steered = convexroof._steered_objective
+
+    def counting(scaled, spec):
+        f = steered(scaled, spec)
+
+        def counted(w):
+            rows.append(w.shape[0] * w.shape[1])
+            return f(w)
+
+        return counted
+
+    monkeypatch.setattr(convexroof, "_steered_objective", counting)
+    return rows
 
 
 GHZ = np.zeros(8, dtype=complex)
@@ -481,6 +517,25 @@ def test_roof_config_has_no_tolerance_option():
 def test_roof_config_rejects_out_of_range_options(options, message):
     with pytest.raises(ValueError, match=message):
         RoofConfig(**options)
+
+
+# max_iterations=2.5 once ran 3 iterations and restarts=True one restart;
+# the other floats failed late, inside numpy, with a TypeError
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 2.5), ("restarts", True), ("extra_terms", 1.5), ("restarts", 2.0), ("seed", 1.5),
+    ("seed", np.False_),
+], ids=["float-max_iterations", "bool-restarts", "float-extra_terms", "float-restarts", "float-seed",
+        "numpy-bool-seed"])
+def test_roof_config_refuses_a_non_integer_option(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RoofConfig(**{field: value})
+
+
+def test_roof_config_keeps_numpy_integers_as_python_ints():
+    cfg = RoofConfig(extra_terms=np.int8(1), max_iterations=np.int64(40), restarts=np.int32(2),
+                     seed=np.uint64(2**64 - 1))
+    assert cfg == RoofConfig(extra_terms=1, max_iterations=40, restarts=2, seed=2**64 - 1)
+    assert {type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)} == {int}
 
 
 def test_wootters_oracle_refuses_three_qubits():

@@ -43,6 +43,23 @@ def test_shot_plan_rejects_shots_beyond_int64():
         ShotPlan(2**63, 0)
 
 
+# 10.5 shots once read 0.8|00> + 0.6|11> to a concurrence of 1.0011 (the true
+# value is 0.96), True drew one shot, and a float seed failed inside numpy
+@pytest.mark.parametrize("shots, seed, field", [
+    (10.5, 1, "shots"), (True, 1, "shots"), (10, 1.5, "seed"), (10, np.True_, "seed"), (10, "1", "seed"),
+], ids=["float-shots", "bool-shots", "float-seed", "numpy-bool-seed", "string-seed"])
+def test_shot_plan_refuses_a_non_integer_field(shots, seed, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ShotPlan(shots, seed)
+
+
+def test_shot_plan_keeps_numpy_integers_as_python_ints():
+    plan = ShotPlan(np.int64(10), np.uint64(2**64 - 1))
+    assert plan == ShotPlan(10, 2**64 - 1)
+    assert (type(plan.shots), type(plan.seed)) == (int, int)
+    assert measurement._nth_plan(plan, 1) == ShotPlan(10, 0)
+
+
 def test_estimates_from_exact_values_match_the_samplers(rng):
     # Observable i draws from stream i: the estimates from precomputed exact
     # expectations are bit-identical to sample_monotone's and to
