@@ -29,12 +29,14 @@ from .measurement import ShotPlan, _nth_plan, sample_estimates
 from .monotones import (
     MONOTONE_PRESETS,
     MonotoneSpec,
+    _expansion,
+    _pair_readings,
     combine_estimates,
     evaluate_monotone,
     expand_to_observables,
     tomography_baseline,
 )
-from .pauli import MixedState, PauliSum, PureState, expectation
+from .pauli import MixedState, PauliSum, PureState
 
 WORKFLOWS = ("evolve", "monotone", "roof", "count")
 CONFIG_KEYS = (
@@ -344,7 +346,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     psi0 = config.initial_state
     spec = config.monotone
     h_tilde = embed_hamiltonian(config.hamiltonian) if config.hamiltonian else None
-    observables = expand_to_observables(spec)
+    sums = _expansion(spec).sums
     moving = [t for t in config.times if t != 0.0] if h_tilde is not None else []
     trajectory = _trajectory(config, h_tilde, moving)
     records = []
@@ -357,7 +359,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             start = time.perf_counter()  # the evolution comes in evolved_ms
         direct = evaluate_monotone(psi_t, spec, path="direct").value
         # The embedded value is the exact-expectation limit of the sampled one.
-        per_observable = [expectation(tilde_t, o) for o in observables]
+        per_observable = _pair_readings(tilde_t, sums)
         embedded = combine_estimates(spec, per_observable)
         if abs(direct - embedded) >= PATH_AGREEMENT_ATOL:
             raise NumericalIntegrityError(
@@ -368,7 +370,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             value_direct=direct,
             value_embedded=embedded,
             per_observable=per_observable,
-            n_observables=len(observables),
+            n_observables=len(per_observable),
             n_tomography=tomography_baseline(spec.n_qubits),
         )
         if config.shots is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import EnlargedState
 from .errors import NumericalIntegrityError
-from .monotones import MonotoneSpec, combine_estimates, expand_to_observables
+from .monotones import MonotoneSpec, _expansion, _pair_readings, combine_estimates
 from .pauli import PauliString, PauliSum, expectation
 
 
@@ -65,7 +65,7 @@ def _draw(exact: float, plan: ShotPlan, index: int) -> float:
     """Mean of S simulated +/-1 outcomes with p(+1) = (1 + exact)/2, drawn
     from stream `index` of the plan."""
     p_plus = (1.0 + exact) / 2.0
-    if p_plus < -1e-10 or p_plus > 1.0 + 1e-10:
+    if not -1e-10 <= p_plus <= 1.0 + 1e-10:  # a NaN fails too
         raise NumericalIntegrityError(
             f"outcome probability {p_plus} outside [0, 1]: observable not +/-1 valued"
         )
@@ -93,6 +93,5 @@ def sample_monotone(
         raise ValueError(
             f"state simulates {tilde.n} qubits, spec expects {spec.n_qubits}"
         )
-    exact = [expectation(tilde, o) for o in expand_to_observables(spec)]
-    estimates = sample_estimates(exact, plan)
+    estimates = sample_estimates(_pair_readings(tilde, _expansion(spec).sums), plan)
     return combine_estimates(spec, estimates), estimates

@@ -6,7 +6,8 @@ modulus of a signed sum of products of antilinear expectations <psi|O|psi*>,
 which the enlarged space turns into pairs of ordinary Hermitian expectations
 <Z(x)O> - i <X(x)O>. This module owns the whole read: a spec is compiled once
 (`_expansion`), `contract` is the one signed product, and `combine_estimates`
-is the one decode of (Z(x)O, X(x)O) readings, exact or sampled, into a value.
+is the one decode of (Z(x)O, X(x)O) readings, exact or sampled, into a value;
+a term c P reads both of its pair's readings from one Pauli image, of I(x)P.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import pauli
 from .embedding import EnlargedState, embed_observable, embed_state
-from .pauli import PauliSum, PureState, _freeze, apply_pauli_sum, expectation
+from .pauli import PauliSum, PureState, _freeze
 
 PAULI_SYMBOLS = ("I", "X", "Y", "Z")
 # The contraction metric; its zero entry removes sigma_y from contracted slots.
@@ -177,15 +179,41 @@ def expand_to_observables(spec: MonotoneSpec) -> tuple[PauliSum, ...]:
 
 
 def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:
-    """<psi|O|psi*>: the classical reference path in the simulated space."""
-    v = psi.amplitudes
-    return complex(np.vdot(v, apply_pauli_sum(o, v.conj())))
+    """<psi|O|psi*>, the classical reference path: with P = i^{#Y} S, S real,
+    a term c P adds c i^{#Y} conj(psi . S psi), from one image of psi."""
+    v = pauli._checked(psi.amplitudes, o.n)
+    scratch, val = np.empty_like(v), 0j
+    for coeff, string in o.terms:
+        k = pauli._kernel(string.symbols)
+        val += coeff * k.phase.conjugate() * np.dot(v, k.image(v, scratch))
+    return complex(val).conjugate()
 
 
 def antilinear_expectation_embedded(tilde: EnlargedState, o: PauliSum) -> complex:
-    """<Z(x)O> - i <X(x)O> on the enlarged state."""
-    oz, ox = embed_observable(o)
-    return complex(expectation(tilde, oz) - 1j * expectation(tilde, ox))
+    """<Z(x)O> - i <X(x)O> on [x; y]: a term c P reads both from one image
+    [Sx; Sy] of I(x)P, S = signs * flip, as r (x.Sx - y.Sy) and
+    r (x.Sy + y.Sx), r = c Re(i^{#Y}); an odd-Y term reads exactly 0."""
+    z, w = _pair_readings(tilde, (o,))
+    return complex(z, -w)
+
+
+def _pair_readings(tilde: EnlargedState, sums: tuple[PauliSum, ...]) -> list[float]:
+    """(<Z(x)O>, <X(x)O>) per sum O, flat, through one scratch buffer; on a spec's
+    `_expansion(spec).sums`, the exact readings of expand_to_observables(spec)."""
+    v = pauli._checked(tilde.amplitudes, sums[0].n + 1)
+    scratch, h, out = np.empty_like(v), v.size // 2, []
+    x, y, sx, sy = v[:h], v[h:], scratch[:h], scratch[h:]
+    for o in sums:
+        z = w = 0.0
+        for coeff, string in o.terms:
+            k = pauli._kernel("I" + string.symbols)
+            if not k.phase.imag:
+                k.image(v, scratch)
+                r = coeff * k.phase.real
+                z += r * (np.dot(x, sx) - np.dot(y, sy))
+                w += r * (np.dot(x, sy) + np.dot(y, sx))
+        out += (z, w)
+    return out
 
 
 def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
@@ -201,7 +229,7 @@ def evaluate_monotone(state: PureState | EnlargedState, spec: MonotoneSpec,
     e = _expansion(spec)
     if path == "embedded":
         tilde = embed_state(state) if isinstance(state, PureState) else state
-        value = combine_estimates(spec, [expectation(tilde, o) for o in e.observables])
+        value = combine_estimates(spec, _pair_readings(tilde, e.sums))
     else:
         value = float(contract(spec, [antilinear_expectation_direct(state, o) for o in e.sums]))
     return MonotoneValue(value, len(e.observables))

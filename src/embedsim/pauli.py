@@ -174,8 +174,8 @@ class PauliSum:
             raise ValueError("qubit count must be >= 1")
         merged: dict[str, float] = {}
         for coeff, string in self.terms:
-            if isinstance(coeff, complex):
-                if abs(coeff.imag) > 0:
+            if isinstance(coeff, (complex, np.complexfloating)):  # numpy's complex64 too
+                if coeff.imag != 0:  # a NaN part fails too
                     raise ValueError("PauliSum coefficients must be real")
                 coeff = coeff.real
             if string.n != self.n:

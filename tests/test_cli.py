@@ -328,8 +328,9 @@ class TestRun:
 
         monkeypatch.setattr(embedsim.pauli, "_kernel", counting)
         (record,) = run(config)
+        # one image of I(x)O per distinct label gives its pair (Z(x)O, X(x)O)
         labels = [o.terms[0][1].symbols for o in expand_to_observables(config.monotone)]
-        assert applied == {label: 1 for label in labels}
+        assert applied == {"I" + label[1:]: 1 for label in labels}
         assert abs(record.value_direct - record.value_embedded) < 1e-9
 
     def test_monotone_with_shots(self):

@@ -131,7 +131,7 @@ def test_noiseless_limit_equals_embedded_value(rng):
         spec = MONOTONE_PRESETS[name](n)
         for _ in range(10):
             tilde = embed_state(random_state(rng, n))
-            exact = [expectation(tilde, o) for o in expand_to_observables(spec)]
+            exact = monotones._pair_readings(tilde, monotones._expansion(spec).sums)
             assert combine_estimates(spec, exact) == evaluate_monotone(tilde, spec, "embedded").value
 
 
@@ -184,3 +184,9 @@ def test_an_expectation_outside_the_outcome_range_is_refused(exact):
     # a +/-1 valued observable has its expectation in [-1, 1]
     with pytest.raises(NumericalIntegrityError, match="outside \\[0, 1\\]"):
         sample_estimates([0.5, exact], ShotPlan(10, 0))
+
+
+def test_a_nan_expectation_is_refused():
+    # a NaN lies in no range, so it is refused as one outside [0, 1]
+    with pytest.raises(NumericalIntegrityError, match="outside \\[0, 1\\]"):
+        sample_estimates([float("nan")], ShotPlan(10, 0))

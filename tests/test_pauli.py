@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import itertools
 import tracemalloc
+import warnings
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -205,6 +206,18 @@ class TestPauliSum:
     def test_rejects_complex_coefficients(self):
         with pytest.raises(ValueError):
             PauliSum.from_terms([(1.0 + 0.5j, "X")])
+
+    @pytest.mark.parametrize("ctype", [np.complex64, np.complex128, np.clongdouble])
+    def test_rejects_numpy_complex_coefficients(self, ctype):
+        # its imaginary part is refused, not cast away with a ComplexWarning
+        with pytest.raises(ValueError, match="coefficients must be real"):
+            PauliSum.from_terms([(ctype(1 + 2j), "XZ")])
+
+    def test_keeps_a_numpy_complex_coefficient_with_no_imaginary_part_as_real(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((coeff, string),) = PauliSum.from_terms([(np.complex64(0.5 + 0j), "XZ")]).terms
+        assert (type(coeff), coeff, string) == (float, 0.5, PauliString("XZ"))
 
     def test_keeps_a_complex_coefficient_with_no_imaginary_part_as_real(self):
         ((coeff, string),) = PauliSum.from_terms([(2.0 + 0j, "XY")]).terms
