@@ -9,8 +9,6 @@ from .convexroof import (
     RoofResult,
     convex_roof_estimate,
     decomposition_from_isometry,
-    efficiency_check,
-    eigendecomposition_start,
     roof_objective,
     werner_state,
     wootters_oracle,
@@ -39,17 +37,14 @@ from .monotones import (
     MonotoneSpec,
     MonotoneValue,
     antilinear_expectation_direct,
-    antilinear_expectation_embedded,
     combine_estimates,
     concurrence,
     concurrence_spec,
     contract,
     evaluate_monotone,
     expand_to_observables,
-    n_qubit_monotone,
     n_qubit_spec,
     second_order_spec,
-    second_order_two_qubit_monotone,
     three_tangle,
     three_tangle_spec,
     tomography_baseline,

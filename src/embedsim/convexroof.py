@@ -28,7 +28,7 @@ import numpy as np
 
 from .embedding import embed_state
 from .measurement import ShotPlan, _integer_fields, _nth_plan, sample_monotone
-from .monotones import MonotoneSpec, _expansion, evaluate_monotone, tomography_baseline
+from .monotones import MonotoneSpec, _expansion, _signed_sum, _signed_sum_derivative, evaluate_monotone
 from .pauli import MixedState, PauliString, PureState, _ensemble_matrix, apply_pauli_sum, dense_matrix
 
 RANK_EPS = 1e-10
@@ -50,9 +50,9 @@ class Decomposition:
         if not self.members:
             raise ValueError("decomposition needs at least one member")
         probs = [p for p, _ in self.members]
-        if any(p <= 0.0 or p > 1.0 + 1e-12 for p in probs):
+        if any(not 0.0 < p <= 1.0 + 1e-12 for p in probs):  # a NaN fails too
             raise ValueError("probabilities must lie in (0, 1]")
-        if abs(sum(probs) - 1.0) > 1e-10:
+        if not abs(sum(probs) - 1.0) <= 1e-10:
             raise ValueError("probabilities must sum to 1 within 1e-10")
 
     @property
@@ -127,11 +127,6 @@ def decomposition_from_isometry(rho: MixedState, w: np.ndarray) -> Decomposition
     return d
 
 
-def eigendecomposition_start(rho: MixedState) -> Decomposition:
-    """The spectral ensemble: the identity isometry."""
-    return decomposition_from_isometry(rho, np.eye(_spectral(rho).shape[1]))
-
-
 def roof_objective(
     d: Decomposition, spec: MonotoneSpec, shots: ShotPlan | None = None
 ) -> float:
@@ -151,33 +146,28 @@ def _steered_objective(scaled: np.ndarray, spec: MonotoneSpec):
     With z = conj(W_j), member j's antilinear expectations are A_l = z^T M_l z
     for the symmetric r x r forms M_l = S^dagger O_l S*, and its weight is
     p = sum_i lam_i |W_ji|^2. E is homogeneous of degree D in the A_l, so the
-    member adds |F(A)| p^(1-D), or 0 at p <= PROB_FLOOR; F is the spec's
-    signed product. Returns f mapping (b, k, r) to (values (b,), gradients
-    (b, k, r)); each row is computed as it would be alone."""
+    member adds |F(A)| p^(1-D), or 0 at p <= PROB_FLOOR; F, the spec's
+    signed product, and dF/dA come from `monotones`. Returns f mapping
+    (b, k, r) to (values (b,), gradients (b, k, r)); each row is computed as
+    it would be alone."""
     e = _expansion(spec)
-    terms, degree = e.index.shape
+    degree = e.index.shape[1]
     s = scaled.conj()
     m = s.T @ np.array([[apply_pauli_sum(o, col) for col in s.T] for o in e.sums]).transpose(0, 2, 1)
     forms = (m + m.transpose(0, 2, 1)) / 2                       # (labels, r, r)
     lam = np.sum(np.abs(scaled) ** 2, axis=0)
-    signs = e.signs.astype(complex)
-    # dF/dA_l sums signs[t] times the other factors of term t over each slot
-    # (t, i) that holds label l; `others` lists those factors' labels
-    others = np.stack([np.delete(e.index, i, axis=1) for i in range(degree)], axis=1)
-    scatter = np.zeros((len(forms), terms * degree), dtype=complex)
-    scatter[e.index.ravel(), np.arange(terms * degree)] = np.repeat(e.signs, degree)
 
     def f(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = w.conj()
         mz = z[:, None] @ forms                                  # (b, labels, k, r): M_l z_j
-        a = (mz * z[:, None]).sum(axis=-1)                       # (b, labels, k)
+        a = (mz * z[:, None]).sum(axis=-1).transpose(0, 2, 1)    # (b, k, labels)
         p = (w * z).real @ lam
         live = p > PROB_FLOOR
-        big_f = np.where(live, signs @ a[:, e.index].prod(axis=2), 0.0)
+        big_f = np.where(live, _signed_sum(e, a), 0.0)
         size = np.abs(big_f)
         u = np.where(live, p, 1.0)
         weight = u ** (1 - degree)
-        dfda = scatter @ a[:, others].prod(axis=3).reshape(len(w), -1, w.shape[1])
+        dfda = _signed_sum_derivative(e, a).transpose(0, 2, 1)   # (b, labels, k)
         # 2 df/dz = 2 p^(1-D) conj(F)/|F| sum_l dF/dA_l M_l z + 2 (1-D) |F| p^-D lam w
         coeff = 2.0 * weight * big_f.conj() / np.maximum(size, 1e-300)  # phase 0 where F = 0
         grad = ((coeff[:, None] * dfda)[..., None] * mz).sum(axis=1)
@@ -286,6 +276,8 @@ def convex_roof_estimate(
     starts at the spectral decomposition, the others at seeded isometries
     (the QR of a complex Gaussian matrix); the least final value wins.
     """
+    if rho.n != spec.n_qubits:
+        raise ValueError(f"state has {rho.n} qubits, spec expects {spec.n_qubits}")
     scaled = _spectral(rho)
     r = scaled.shape[1]
     k = min(r + cfg.extra_terms, 4**rho.n)
@@ -317,13 +309,6 @@ def wootters_oracle(rho: MixedState) -> float:
     s = vecs * np.sqrt(np.clip(evals, 0.0, None))
     lam = np.linalg.svd(s.T @ yy @ s, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def efficiency_check(k: int, l: int, m: int, n: int) -> bool:
-    """Embedded roof beats full tomography when k*l*m < 2^(2N) - 1."""
-    if min(k, l, m, n) < 1:
-        raise ValueError("all arguments must be positive integers")
-    return k * l * m < tomography_baseline(n)
 
 
 def werner_state(p: float) -> MixedState:

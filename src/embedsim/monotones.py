@@ -5,9 +5,10 @@ contractions through the fixed metric diag(-1, 1, 0, 1). Each monotone is the
 modulus of a signed sum of products of antilinear expectations <psi|O|psi*>,
 which the enlarged space turns into pairs of ordinary Hermitian expectations
 <Z(x)O> - i <X(x)O>. This module owns the whole read: a spec is compiled once
-(`_expansion`), `contract` is the one signed product, and `combine_estimates`
-is the one decode of (Z(x)O, X(x)O) readings, exact or sampled, into a value;
-a term c P reads both of its pair's readings from one Pauli image, of I(x)P.
+(`_expansion`), `_signed_sum` is the one signed product F(A), with its one
+derivative beside it, `contract` is |F|, and `combine_estimates` is the one
+decode of (Z(x)O, X(x)O) readings, exact or sampled, into a value; a term c P
+reads both of its pair's readings from one Pauli image, of I(x)P.
 """
 
 from __future__ import annotations
@@ -119,12 +120,16 @@ class MonotoneValue:
 class _Expansion(NamedTuple):
     """A spec compiled for contraction: a one-term sum per distinct Pauli
     label, their embedded pairs (Z(x)O, X(x)O) in the same order, one metric
-    sign per term, and the (term x factor) label index of every factor."""
+    sign per term, the (term x factor) label index of every factor, and per
+    slot (t, i) the labels of term t's other factors and a (slot x label) row
+    holding sign_t at label[t, i]: the data of dF/dA."""
 
     sums: tuple[PauliSum, ...]
     observables: tuple[PauliSum, ...]
     signs: np.ndarray
     index: np.ndarray
+    others: np.ndarray
+    scatter: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -148,16 +153,35 @@ def _expansion(spec: MonotoneSpec) -> _Expansion:
     index = np.array([[position[op] for op in ops] for ops in terms], dtype=np.intp)
     sums = tuple(PauliSum.from_terms([(1.0, label)]) for label in position)
     observables = tuple(itertools.chain.from_iterable(map(embed_observable, sums)))
-    return _Expansion(sums, observables, _freeze(np.array(signs)), _freeze(index))
+    terms, degree = index.shape
+    others = np.stack([np.delete(index, i, axis=1) for i in range(degree)], axis=1)
+    scatter = np.zeros((terms * degree, len(sums)))
+    scatter[np.arange(terms * degree), index.ravel()] = np.repeat(signs, degree)
+    return _Expansion(sums, observables, _freeze(np.array(signs)), _freeze(index),
+                      _freeze(others), _freeze(scatter))
+
+
+def _signed_sum(e: _Expansion, a: np.ndarray) -> np.ndarray:
+    """F(A) = sum_t sign_t prod_i A[..., label_ti], labels on the last axis of a."""
+    return a[..., e.index].prod(axis=-1) @ e.signs
+
+
+def _signed_sum_derivative(e: _Expansion, a: np.ndarray) -> np.ndarray:
+    """dF/dA_l, labels on the last axis of a and of the result: the sum of
+    sign_t times the other factors of term t over each slot (t, i) holding l."""
+    return a[..., e.others].prod(axis=-1).reshape(*a.shape[:-1], -1) @ e.scatter
 
 
 def contract(spec: MonotoneSpec, antilinear) -> np.ndarray:
-    """|sum_t sign_t prod_i antilinear[..., label_ti]|: the monotone from the
-    antilinear expectations of the spec's distinct labels, ordered as in
-    expand_to_observables, shape (labels,) for one state, (..., labels) for
-    a batch."""
+    """|F(A)|: the monotone from the antilinear expectations A of the spec's
+    distinct labels, ordered as in expand_to_observables, shape (labels,) for
+    one state, (..., labels) for a batch."""
     e = _expansion(spec)
-    return np.abs(np.asarray(antilinear)[..., e.index].prod(axis=-1) @ e.signs)
+    a = np.asarray(antilinear)
+    if a.shape[-1:] != (len(e.sums),):
+        got = a.shape[-1] if a.ndim else 0
+        raise ValueError(f"{spec.name} has {len(e.sums)} labels, got {got} antilinear expectations")
+    return np.abs(_signed_sum(e, a))
 
 
 def combine_estimates(spec: MonotoneSpec, per_observable: list[float]) -> float:
@@ -189,17 +213,11 @@ def antilinear_expectation_direct(psi: PureState, o: PauliSum) -> complex:
     return complex(val).conjugate()
 
 
-def antilinear_expectation_embedded(tilde: EnlargedState, o: PauliSum) -> complex:
-    """<Z(x)O> - i <X(x)O> on [x; y]: a term c P reads both from one image
-    [Sx; Sy] of I(x)P, S = signs * flip, as r (x.Sx - y.Sy) and
-    r (x.Sy + y.Sx), r = c Re(i^{#Y}); an odd-Y term reads exactly 0."""
-    z, w = _pair_readings(tilde, (o,))
-    return complex(z, -w)
-
-
 def _pair_readings(tilde: EnlargedState, sums: tuple[PauliSum, ...]) -> list[float]:
     """(<Z(x)O>, <X(x)O>) per sum O, flat, through one scratch buffer; on a spec's
-    `_expansion(spec).sums`, the exact readings of expand_to_observables(spec)."""
+    `_expansion(spec).sums`, the exact readings of expand_to_observables(spec).
+    A term c P reads r (x.Sx - y.Sy) and r (x.Sy + y.Sx) from one image [Sx; Sy]
+    of I(x)P, r = c Re(i^{#Y}), so an odd-Y term reads exactly 0."""
     v = pauli._checked(tilde.amplitudes, sums[0].n + 1)
     scratch, h, out = np.empty_like(v), v.size // 2, []
     x, y, sx, sy = v[:h], v[h:], scratch[:h], scratch[h:]
@@ -297,14 +315,6 @@ def concurrence(psi: PureState, path: str = "direct") -> MonotoneValue:
 
 def three_tangle(psi: PureState, path: str = "direct") -> MonotoneValue:
     return evaluate_monotone(psi, three_tangle_spec(), path)
-
-
-def n_qubit_monotone(psi: PureState, path: str = "direct") -> MonotoneValue:
-    return evaluate_monotone(psi, n_qubit_spec(psi.n), path)
-
-
-def second_order_two_qubit_monotone(psi: PureState, path: str = "direct") -> MonotoneValue:
-    return evaluate_monotone(psi, second_order_spec(), path)
 
 
 def tomography_baseline(n: int) -> int:

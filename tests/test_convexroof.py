@@ -7,6 +7,7 @@ import pytest
 from embedsim import (
     Decomposition,
     MixedState,
+    MonotoneSpec,
     PureState,
     RoofConfig,
     ShotPlan,
@@ -14,8 +15,6 @@ from embedsim import (
     concurrence_spec,
     convex_roof_estimate,
     decomposition_from_isometry,
-    efficiency_check,
-    eigendecomposition_start,
     embed_state,
     n_qubit_spec,
     roof_objective,
@@ -51,6 +50,12 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             Decomposition(((1.2, BELL), (-0.2, BELL)))
 
+    @pytest.mark.parametrize("probs", [(np.nan,), (0.5, np.nan, 0.5)], ids=["only", "middle"])
+    def test_a_nan_probability_is_refused(self, probs):
+        # NaN compares false both ways, so each check is a negated chained comparison
+        with pytest.raises(ValueError, match="probabilities"):
+            Decomposition(tuple((p, BELL) for p in probs))
+
     def test_density_matrix(self):
         d = Decomposition(((1.0, BELL),))
         np.testing.assert_allclose(
@@ -59,22 +64,24 @@ class TestDecomposition:
 
 
 class TestEigendecompositionStart:
+    """The spectral ensemble is the one steered by the identity isometry."""
+
     def test_pure_state(self):
         rho = MixedState.from_pure(BELL)
-        d = eigendecomposition_start(rho)
+        d = decomposition_from_isometry(rho, np.eye(1))
         assert d.size == 1
         assert d.members[0][0] == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         rho = MixedState(np.eye(4) / 4)
-        d = eigendecomposition_start(rho)
+        d = decomposition_from_isometry(rho, np.eye(4))
         assert d.size == 4
         for p, _ in d.members:
             assert p == pytest.approx(0.25)
 
     def test_rank2_reconstruction(self, rng):
         rho = random_rank2_state(rng)
-        d = eigendecomposition_start(rho)
+        d = decomposition_from_isometry(rho, np.eye(2))
         assert d.size == 2
         assert np.linalg.norm(d.density_matrix() - rho.matrix) < 1e-10
 
@@ -82,12 +89,13 @@ class TestEigendecompositionStart:
 class TestDecompositionFromIsometry:
     def test_identity_recovers_eigendecomposition(self, rng):
         rho = random_rank2_state(rng)
-        d_eig = eigendecomposition_start(rho)
+        evals, vecs = np.linalg.eigh(rho.matrix)
         d_iso = decomposition_from_isometry(rho, np.eye(2))
-        for (p1, s1), (p2, s2) in zip(d_eig.members, d_iso.members):
+        # members in decreasing eigenvalue order, each an eigenvector
+        for p1, s1, (p2, s2) in zip(evals[::-1], vecs.T[::-1], d_iso.members):
             assert p1 == pytest.approx(p2)
             # states may differ by a global phase
-            assert abs(np.vdot(s1.amplitudes, s2.amplitudes)) == pytest.approx(1.0)
+            assert abs(np.vdot(s1, s2.amplitudes)) == pytest.approx(1.0)
 
     def test_rotation_reconstructs(self):
         # Bell-diagonal rank-2 mixture
@@ -143,7 +151,7 @@ class TestRoofObjective:
 
     def test_eigendecomposition_upper_bounds_oracle(self):
         rho = werner_state(0.9)
-        d = eigendecomposition_start(rho)
+        d = decomposition_from_isometry(rho, np.eye(4))
         assert roof_objective(d, concurrence_spec()) >= wootters_oracle(rho) - 1e-9
 
     def test_roof_value_is_the_objective_of_its_decomposition(self):
@@ -462,7 +470,8 @@ class TestShotNoiseRoof:
 
 
 @pytest.mark.parametrize("spec", [concurrence_spec(), second_order_spec(), three_tangle_spec(),
-                                  n_qubit_spec(4), n_qubit_spec(5)], ids=lambda s: s.name)
+                                  n_qubit_spec(4), n_qubit_spec(5),
+                                  MonotoneSpec("cubed", 2, (("Y", "Y"),) * 3)], ids=lambda s: s.name)
 def test_riemannian_gradient_matches_central_differences(spec):
     rng = np.random.default_rng(31)
     dim = 1 << spec.n_qubits
@@ -477,21 +486,6 @@ def test_riemannian_gradient_matches_central_differences(spec):
         ahead, behind = (f(convexroof._retract(w + s * h * step))[0][0] for s in (1, -1))
         analytic = convexroof._inner(grad, step)[0]
         assert abs((ahead - behind) / (2 * h) - analytic) <= 1e-6 * abs(analytic)
-
-
-class TestEfficiencyCheck:
-    def test_small_system_not_efficient(self):
-        assert efficiency_check(2, 50, 2, 2) is False
-
-    def test_large_system_efficient(self):
-        assert efficiency_check(2, 100, 2, 6) is True
-
-    def test_boundary_excluded(self):
-        assert efficiency_check(1, 1, 15, 2) is False
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            efficiency_check(0, 1, 1, 1)
 
 
 def test_werner_state_validation():
@@ -541,3 +535,10 @@ def test_roof_config_keeps_numpy_integers_as_python_ints():
 def test_wootters_oracle_refuses_three_qubits():
     with pytest.raises(ValueError, match="two qubits"):
         wootters_oracle(MixedState(np.eye(8) / 8))
+
+
+def test_roof_refuses_a_spec_of_another_qubit_count(monkeypatch):
+    # refused before the spectral decomposition, with evaluate_monotone's message
+    monkeypatch.setattr(convexroof, "_spectral", lambda rho: pytest.fail("decomposed"))
+    with pytest.raises(ValueError, match="state has 2 qubits, spec expects 3"):
+        convex_roof_estimate(werner_state(0.8), three_tangle_spec())

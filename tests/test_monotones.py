@@ -10,7 +10,6 @@ from embedsim import (
     PauliSum,
     PureState,
     antilinear_expectation_direct,
-    antilinear_expectation_embedded,
     concurrence,
     concurrence_spec,
     embed_state,
@@ -18,15 +17,21 @@ from embedsim import (
     evolve_exact,
     expand_to_observables,
     expectation,
-    n_qubit_monotone,
     n_qubit_spec,
     second_order_spec,
-    second_order_two_qubit_monotone,
     three_tangle,
     three_tangle_spec,
     tomography_baseline,
 )
-from embedsim.monotones import MONOTONE_PRESETS, EmbeddedEvaluator, MonotoneValue, _expansion
+from embedsim.monotones import (
+    MONOTONE_PRESETS,
+    EmbeddedEvaluator,
+    MonotoneValue,
+    _expansion,
+    _signed_sum,
+    _signed_sum_derivative,
+    contract,
+)
 
 from conftest import (
     random_product_state,
@@ -51,6 +56,12 @@ def brute_force_antilinear(psi, symbols):
         mat = np.kron(mat, SINGLE_QUBIT[c])
     v = psi.amplitudes
     return complex(v.conj() @ mat @ v.conj())
+
+
+def embedded_antilinear(psi, o):
+    """<Z(x)O> - i <X(x)O> on the embedding of psi, from the one-image pair read."""
+    z, w = monotones._pair_readings(embed_state(psi), (o,))
+    return complex(z, -w)
 
 
 class TestMonotoneSpec:
@@ -105,12 +116,12 @@ class TestAntilinearExpectation:
 
     def test_embedded_bell(self):
         o = PauliSum.from_terms([(1.0, "YY")])
-        val = antilinear_expectation_embedded(embed_state(BELL), o)
+        val = embedded_antilinear(BELL, o)
         assert val == pytest.approx(-1.0)
 
     def test_embedded_product(self):
         o = PauliSum.from_terms([(1.0, "YY")])
-        assert antilinear_expectation_embedded(embed_state(ZERO2), o) == pytest.approx(0.0)
+        assert embedded_antilinear(ZERO2, o) == pytest.approx(0.0)
 
     def test_embedded_equals_direct_seeded(self, rng):
         for n in (2, 3):
@@ -118,7 +129,7 @@ class TestAntilinearExpectation:
                 psi = random_state(rng, n)
                 o = random_pauli_sum(rng, n)
                 direct = antilinear_expectation_direct(psi, o)
-                embedded = antilinear_expectation_embedded(embed_state(psi), o)
+                embedded = embedded_antilinear(psi, o)
                 assert abs(direct - embedded) < 1e-10
 
     def test_direct_matches_brute_force(self, rng):
@@ -138,7 +149,7 @@ class TestAntilinearExpectation:
                 o = random_pauli_sum(rng, n, max_terms=6)
                 want = sum(c * brute_force_antilinear(psi, p.symbols) for c, p in o.terms)
                 assert abs(antilinear_expectation_direct(psi, o) - want) < 1e-12
-                assert abs(antilinear_expectation_embedded(embed_state(psi), o) - want) < 1e-12
+                assert abs(embedded_antilinear(psi, o) - want) < 1e-12
 
     @pytest.mark.parametrize("spec", [
         *(MONOTONE_PRESETS[name](n) for name, n in (
@@ -221,7 +232,7 @@ class TestNQubitMonotone:
         v = np.zeros(16, dtype=complex)
         v[0] = v[-1] = 1 / np.sqrt(2)
         for path in ("direct", "embedded"):
-            assert n_qubit_monotone(PureState(v), path).value == pytest.approx(1.0)
+            assert evaluate_monotone(PureState(v), n_qubit_spec(4), path).value == pytest.approx(1.0)
 
     def test_even_formula_vanishes_for_odd_n(self, rng):
         spec = MonotoneSpec("even_form_on_3", 3, (("Y", "Y", "Y"),))
@@ -232,13 +243,13 @@ class TestNQubitMonotone:
     def test_reduces_to_concurrence_at_two_qubits(self, rng):
         for _ in range(50):
             psi = random_state(rng, 2)
-            assert n_qubit_monotone(psi).value == pytest.approx(
+            assert evaluate_monotone(psi, n_qubit_spec(2)).value == pytest.approx(
                 concurrence(psi).value, abs=1e-12
             )
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
-            n_qubit_monotone(PureState(np.array([1.0, 0.0], dtype=complex)))
+            n_qubit_spec(1)
 
 
 class TestSecondOrderMonotone:
@@ -253,21 +264,21 @@ class TestSecondOrderMonotone:
                 for lam in (0, 1, 3):
                     e = brute_force_antilinear(psi, labels[mu] + labels[lam])
                     total += g[mu] * g[lam] * e * e
-            assert second_order_two_qubit_monotone(psi).value == pytest.approx(
+            assert evaluate_monotone(psi, second_order_spec()).value == pytest.approx(
                 abs(total), abs=1e-12
             )
 
     def test_bell_cross_path(self):
-        direct = second_order_two_qubit_monotone(BELL, "direct").value
-        embedded = second_order_two_qubit_monotone(BELL, "embedded").value
+        direct = evaluate_monotone(BELL, second_order_spec(), "direct").value
+        embedded = evaluate_monotone(BELL, second_order_spec(), "embedded").value
         assert abs(direct - embedded) < 1e-10
 
     def test_observable_count(self):
-        assert second_order_two_qubit_monotone(BELL).observable_count == 18
+        assert evaluate_monotone(BELL, second_order_spec()).observable_count == 18
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
-            second_order_two_qubit_monotone(ZERO3)
+            evaluate_monotone(ZERO3, second_order_spec())
 
 
 class TestExpandToObservables:
@@ -349,7 +360,7 @@ class TestInvariants:
         for _ in range(20):
             psi2 = random_product_state(rng, 2)
             assert concurrence(psi2).value < 1e-12
-            assert second_order_two_qubit_monotone(psi2).value < 1e-12
+            assert evaluate_monotone(psi2, second_order_spec()).value < 1e-12
             psi3 = random_product_state(rng, 3)
             assert three_tangle(psi3).value < 1e-12
 
@@ -358,7 +369,7 @@ class TestInvariants:
             psi = random_state(rng, 2)
             c = concurrence(psi).value
             assert 0.0 <= c <= 1.0 + 1e-12
-            assert second_order_two_qubit_monotone(psi).value >= 0.0
+            assert evaluate_monotone(psi, second_order_spec()).value >= 0.0
 
     def test_invariance_under_local_dynamics(self, rng):
         h_local = PauliSum.from_terms([(0.8, "XI"), (-0.4, "IZ"), (0.3, "IY")])
@@ -384,6 +395,8 @@ ODD_Y_SPECS = [
     MonotoneSpec("odd_y", 3, (("Y", "Z", "I"),)),
     MonotoneSpec("odd_y_contracted", 2, ((0, "Y"), (1, "Y")), ((0, 1),)),
 ]
+# Three factors, so each slot's "other factors" are two labels: F = A^3.
+CUBED = MonotoneSpec("cubed", 2, (("Y", "Y"),) * 3)
 
 
 class TestContraction:
@@ -447,3 +460,28 @@ class TestContraction:
         evaluate_monotone(random_state(rng, 3), three_tangle_spec(), path)
         assert len(applied) == calls
         assert len(set(applied)) == calls
+
+    @pytest.mark.parametrize("spec,antilinear,labels,got", [
+        (concurrence_spec(), [0.5, 99.0], 1, 2),
+        (three_tangle_spec(), [0.5, 0.5], 3, 2),
+        (three_tangle_spec(), np.ones((4, 1)), 3, 1),
+        (concurrence_spec(), 0.5, 1, 0),
+    ], ids=["too-many", "too-few", "batch-too-few", "scalar"])
+    def test_contract_refuses_a_wrong_label_count(self, spec, antilinear, labels, got):
+        with pytest.raises(ValueError, match=f"has {labels} labels, got {got} antilinear"):
+            contract(spec, antilinear)
+
+    @pytest.mark.parametrize("spec", PRESET_SPECS + ODD_Y_SPECS + [CUBED], ids=lambda s: s.name)
+    def test_derivative_matches_central_differences(self, spec, rng):
+        # F is a polynomial in the complex A, so dF/dA_l is the complex-step
+        # difference quotient along label l; leading axes are a batch.
+        e = _expansion(spec)
+        labels = len(e.sums)
+        a = rng.normal(size=(2, 3, labels)) + 1j * rng.normal(size=(2, 3, labels))
+        derivative = _signed_sum_derivative(e, a)
+        assert derivative.shape == a.shape
+        h = 1e-5
+        for l in range(labels):
+            step = h * np.eye(labels)[l]
+            quotient = (_signed_sum(e, a + step) - _signed_sum(e, a - step)) / (2 * h)
+            np.testing.assert_allclose(derivative[..., l], quotient, rtol=1e-8, atol=1e-8)
