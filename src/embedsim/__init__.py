@@ -21,7 +21,6 @@ from .embedding import (
     embed_observable,
     embed_state,
     reality_residual,
-    split_hamiltonian,
     unembed_state,
     unembedding_matrix,
 )

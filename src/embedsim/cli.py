@@ -319,7 +319,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
         if rho is None:
             if config.initial_state is None:
                 _fail("mixed_state", "roof workflow needs a mixed_state or initial_state")
-            rho = MixedState.from_pure(config.initial_state)
+            rho = MixedState.from_ensemble([(1.0, config.initial_state)])
         if rho.n != config.monotone.n_qubits:
             _fail("mixed_state", f"has {rho.n} qubits, monotone has {config.monotone.n_qubits}")
         start = time.perf_counter()

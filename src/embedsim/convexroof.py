@@ -54,6 +54,9 @@ class Decomposition:
             raise ValueError("probabilities must lie in (0, 1]")
         if not abs(sum(probs) - 1.0) <= 1e-10:
             raise ValueError("probabilities must sum to 1 within 1e-10")
+        counts = sorted({psi.n for _, psi in self.members})
+        if len(counts) > 1:
+            raise ValueError(f"members act on different qubit counts: {counts}")
 
     @property
     def size(self) -> int:
@@ -144,7 +147,7 @@ def _steered_objective(scaled: np.ndarray, spec: MonotoneSpec):
     `scaled` (dim x r), and its Euclidean gradient 2 df/dW*.
 
     With z = conj(W_j), member j's antilinear expectations are A_l = z^T M_l z
-    for the symmetric r x r forms M_l = S^dagger O_l S*, and its weight is
+    for the symmetric r x r forms M_l = S^dagger O_l S*, and its probability is
     p = sum_i lam_i |W_ji|^2. E is homogeneous of degree D in the A_l, so the
     member adds |F(A)| p^(1-D), or 0 at p <= PROB_FLOOR; F, the spec's
     signed product, and dF/dA come from `monotones`. Returns f mapping
@@ -166,13 +169,13 @@ def _steered_objective(scaled: np.ndarray, spec: MonotoneSpec):
         big_f = np.where(live, _signed_sum(e, a), 0.0)
         size = np.abs(big_f)
         u = np.where(live, p, 1.0)
-        weight = u ** (1 - degree)
+        scale = u ** (1 - degree)
         dfda = _signed_sum_derivative(e, a).transpose(0, 2, 1)   # (b, labels, k)
         # 2 df/dz = 2 p^(1-D) conj(F)/|F| sum_l dF/dA_l M_l z + 2 (1-D) |F| p^-D lam w
-        coeff = 2.0 * weight * big_f.conj() / np.maximum(size, 1e-300)  # phase 0 where F = 0
+        coeff = 2.0 * scale * big_f.conj() / np.maximum(size, 1e-300)  # phase 0 where F = 0
         grad = ((coeff[:, None] * dfda)[..., None] * mz).sum(axis=1)
-        radial = 2.0 * (1 - degree) * size * weight / u
-        return (size * weight).sum(axis=-1), grad + radial[..., None] * lam * w
+        radial = 2.0 * (1 - degree) * size * scale / u
+        return (size * scale).sum(axis=-1), grad + radial[..., None] * lam * w
 
     return f
 

@@ -49,7 +49,7 @@ class EnlargedState:
                 )
             arr = arr.real
         arr = np.asarray(arr, dtype=float)
-        if _qubit_count(arr.size, "enlarged vector") < 2:
+        if _qubit_count(arr.shape, "enlarged vector") < 2:
             raise DimensionError(f"enlarged vector length {arr.size} is below 4")
         norm = _norm(arr)
         if not abs(norm - 1.0) <= NORM_ATOL:
@@ -115,21 +115,6 @@ def unembedding_matrix(n: int) -> np.ndarray:
     """Dense [I | iI] collapsing an enlarged vector back to complex form."""
     eye = np.eye(1 << n, dtype=complex)
     return np.hstack([eye, 1j * eye])
-
-
-def split_hamiltonian(h: PauliSum) -> tuple[PauliSum, PauliSum]:
-    """Split into (real part, imaginary part) by Y parity.
-
-    The first element collects even-parity terms (real symmetric dense form);
-    the second collects odd-parity terms, i.e. i times the real antisymmetric
-    factor. Their sum reconstructs the input.
-    """
-    even = [(c, p) for c, p in h.terms if y_parity(p) == "even"]
-    odd = [(c, p) for c, p in h.terms if y_parity(p) == "odd"]
-    return (
-        PauliSum.from_terms(even, n=h.n),
-        PauliSum.from_terms(odd, n=h.n),
-    )
 
 
 def embed_hamiltonian(h: PauliSum) -> EmbeddedHamiltonian:

@@ -1,4 +1,8 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the integer rule of its options."""
+
+import operator
+
+import numpy as np
 
 
 class CapacityError(ValueError):
@@ -15,3 +19,15 @@ class ConfigError(ValueError):
 
 class NumericalIntegrityError(RuntimeError):
     """A numerical invariant (norm, realness, probability range) was violated."""
+
+
+def integer(value, field: str) -> int:
+    """`value` as a Python int. A Python or numpy integer passes
+    (`operator.index`); a bool, a float or anything else raises ValueError
+    naming `field`."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None

@@ -41,7 +41,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .embedding import EmbeddedHamiltonian, EnlargedState
-from .errors import NumericalIntegrityError
+from .errors import NumericalIntegrityError, integer
 from .pauli import NORM_ATOL, PauliSum, _check_dense, _checked, _kernel, _norm
 
 METHODS = ("exact", "trotter1", "trotter2")
@@ -209,6 +209,7 @@ def evolve_trotter(
     """
     times = _times(t)
     _phase_norm(h, times)
+    steps, order = integer(steps, "steps"), integer(order, "order")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):

@@ -10,13 +10,12 @@ embedded path applies to exact expectations; it is importable from here too.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import EnlargedState
-from .errors import NumericalIntegrityError
+from .errors import NumericalIntegrityError, integer
 from .monotones import MonotoneSpec, _expansion, _pair_readings, combine_estimates
 from .pauli import PauliString, PauliSum, expectation
 
@@ -35,17 +34,9 @@ class ShotPlan:
 
 
 def _integer_fields(obj, *fields: str) -> None:
-    """Store each named field of the frozen dataclass `obj` as a Python int.
-    A Python or numpy integer passes (`operator.index`); a bool, a float or
-    anything else raises ValueError naming the field."""
+    """Store each named field of the frozen dataclass `obj` as a Python int (`integer`)."""
     for field in fields:
-        value = getattr(obj, field)
-        try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            object.__setattr__(obj, field, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{field} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, field, integer(getattr(obj, field), field))
 
 
 def _nth_plan(plan: ShotPlan, k: int) -> ShotPlan:

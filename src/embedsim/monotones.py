@@ -83,17 +83,6 @@ class MonotoneSpec:
         """Number of metric contractions k; the expansion has 3^k terms."""
         return len(self.contractions)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "n_qubits": self.n_qubits,
-            "factors": [
-                [s if isinstance(s, str) else {"idx": s} for s in f]
-                for f in self.factors
-            ],
-            "contractions": [list(c) for c in self.contractions],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "MonotoneSpec":
         factors = tuple(

@@ -48,11 +48,6 @@ class PauliString:
     def n(self) -> int:
         return len(self.symbols)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors (locality of the term)."""
-        return sum(1 for c in self.symbols if c != "I")
-
     def __str__(self) -> str:
         return self.symbols
 
@@ -204,10 +199,6 @@ class PauliSum:
             n = normalized[0][1].n
         return cls(n=n, terms=tuple(normalized))
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def dense(self) -> np.ndarray:
         return _dense(self.n, self.terms)
 
@@ -302,10 +293,13 @@ def _norm(arr: np.ndarray) -> float:
         return float(np.linalg.norm(arr))
 
 
-def _qubit_count(dim: int, what: str) -> int:
-    n = int(dim).bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise DimensionError(f"{what} length {dim} is not a power of two >= 2")
+def _qubit_count(shape: tuple[int, ...], what: str) -> int:
+    """n of a 1-D shape (2^n,), n >= 1; any other shape is refused."""
+    if len(shape) != 1:
+        raise DimensionError(f"{what} has shape {shape}, expected one axis")
+    n = int(shape[0]).bit_length() - 1
+    if shape[0] < 2 or (1 << n) != shape[0]:
+        raise DimensionError(f"{what} length {shape[0]} is not a power of two >= 2")
     return n
 
 
@@ -317,7 +311,7 @@ class PureState:
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex)
-        _qubit_count(arr.size, "amplitude vector")
+        _qubit_count(arr.shape, "amplitude vector")
         norm = _norm(arr)
         if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
@@ -358,7 +352,7 @@ class MixedState:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"density matrix must be square, got {mat.shape}")
-        _check_dense(_qubit_count(mat.shape[0], "density matrix"))
+        _check_dense(_qubit_count(mat.shape[:1], "density matrix"))
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         with np.errstate(over="ignore"):  # entries near the float range fail as inf
@@ -370,10 +364,6 @@ class MixedState:
         if np.min(np.linalg.eigvalsh(mat)) < PSD_SLACK:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "matrix", _freeze(mat.copy()))
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "MixedState":
-        return cls(_ensemble_matrix([(1.0, psi)]))
 
     @classmethod
     def from_ensemble(

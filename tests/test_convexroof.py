@@ -29,6 +29,7 @@ from embedsim.convexroof import _conjugate_gradient
 from embedsim.monotones import EmbeddedEvaluator
 
 from conftest import random_product_state, random_state
+from oracles import P0, P1, ghz_w_tangle
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
 
@@ -56,6 +57,12 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="probabilities"):
             Decomposition(tuple((p, BELL) for p in probs))
 
+    def test_members_of_different_qubit_counts_are_refused(self):
+        # their projectors are 4 x 4 and 8 x 8, so no ensemble matrix exists
+        zero3 = PureState(np.eye(8)[0])
+        with pytest.raises(ValueError, match=r"different qubit counts: \[2, 3\]"):
+            Decomposition(((0.5, BELL), (0.5, zero3)))
+
     def test_density_matrix(self):
         d = Decomposition(((1.0, BELL),))
         np.testing.assert_allclose(
@@ -67,7 +74,7 @@ class TestEigendecompositionStart:
     """The spectral ensemble is the one steered by the identity isometry."""
 
     def test_pure_state(self):
-        rho = MixedState.from_pure(BELL)
+        rho = MixedState.from_ensemble([(1.0, BELL)])
         d = decomposition_from_isometry(rho, np.eye(1))
         assert d.size == 1
         assert d.members[0][0] == pytest.approx(1.0)
@@ -193,7 +200,7 @@ class TestRoofObjective:
 
 class TestWoottersOracle:
     def test_bell_projector(self):
-        assert wootters_oracle(MixedState.from_pure(BELL)) == pytest.approx(1.0)
+        assert wootters_oracle(MixedState.from_ensemble([(1.0, BELL)])) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         assert wootters_oracle(MixedState(np.eye(4) / 4)) == pytest.approx(0.0)
@@ -204,7 +211,7 @@ class TestWoottersOracle:
     def test_matches_pure_concurrence(self, rng):
         for _ in range(10):
             psi = random_state(rng, 2)
-            assert wootters_oracle(MixedState.from_pure(psi)) == pytest.approx(
+            assert wootters_oracle(MixedState.from_ensemble([(1.0, psi)])) == pytest.approx(
                 concurrence(psi).value, abs=1e-12
             )
 
@@ -221,7 +228,7 @@ class TestConvexRoofEstimate:
 
     def test_pure_state(self, rng):
         psi = random_state(rng, 2)
-        res = convex_roof_estimate(MixedState.from_pure(psi), concurrence_spec(), self.CFG)
+        res = convex_roof_estimate(MixedState.from_ensemble([(1.0, psi)]), concurrence_spec(), self.CFG)
         assert res.value == pytest.approx(concurrence(psi).value, abs=1e-6)
 
     @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
@@ -434,16 +441,31 @@ def ghz_w_mixture(p):
 
 class TestGhzWRoof:
     """The 3-tangle roof of p|GHZ><GHZ| + (1-p)|W><W| is 0 below
-    p0 ~ 0.627 (Lohmayer, Osterloh, Siewert & Uhlmann, PRL 97, 260502)."""
+    p0 ~ 0.627 and `oracles.ghz_w_tangle` above it (Lohmayer, Osterloh,
+    Siewert & Uhlmann, PRL 97, 260502)."""
+
+    def test_the_closed_form_is_continuous(self):
+        assert ghz_w_tangle(P0) == pytest.approx(0.0, abs=1e-15)
+        assert ghz_w_tangle(P1 - 1e-12) == pytest.approx(ghz_w_tangle(P1 + 1e-12), abs=1e-11)
 
     @pytest.mark.parametrize("p", [0.3, 0.6])
     def test_zero_below_p0(self, p):
         assert convex_roof_estimate(ghz_w_mixture(p), three_tangle_spec()).value <= 1e-6
 
-    # the values the coordinate search found with the default config
-    @pytest.mark.parametrize("p, before", [(0.7, 0.19066740905808754), (0.9, 0.7302008146056176)])
-    def test_no_worse_above_p0(self, p, before):
-        assert convex_roof_estimate(ghz_w_mixture(p), three_tangle_spec()).value <= before + 1e-6
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0.65, 0.7, 0.75, 0.8, 0.85, 0.9])
+    def test_closed_form_above_p0(self, p, seed):
+        res = convex_roof_estimate(ghz_w_mixture(p), three_tangle_spec(), RoofConfig(seed=seed))
+        assert res.value == pytest.approx(ghz_w_tangle(p), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 11).round(1).tolist())
+    def test_ghz_plus_minus_control(self, p, seed):
+        # members a|000> + b|111> have tangle 4|a|^2|b|^2, so the roof is (2p - 1)^2
+        minus = GHZ * [1, 0, 0, 0, 0, 0, 0, -1]
+        rho = MixedState(p * np.outer(GHZ, GHZ.conj()) + (1 - p) * np.outer(minus, minus.conj()))
+        res = convex_roof_estimate(rho, three_tangle_spec(), RoofConfig(seed=seed))
+        assert res.value == pytest.approx((2 * p - 1) ** 2, abs=1e-9)
 
     def test_two_restarts_leave_the_spectral_start(self):
         # the spectral decomposition has a zero gradient here, at the value p

@@ -14,7 +14,6 @@ from embedsim import (
     embed_hamiltonian,
     embed_observable,
     embed_state,
-    split_hamiltonian,
     unembed_state,
     unembedding_matrix,
     y_parity,
@@ -104,31 +103,28 @@ class TestConjugationGate:
             np.testing.assert_allclose(conj.amplitudes, psi.amplitudes.conj(), atol=1e-14)
 
 
+def locality(p: PauliString) -> int:
+    """Number of non-identity factors of a string."""
+    return len(p.symbols) - p.symbols.count("I")
+
+
 class TestSplitHamiltonian:
-    def test_real_hamiltonian(self):
-        a, ib = split_hamiltonian(PauliSum.from_terms([(1.0, "XZ")]))
-        assert a.to_records() == [{"coeff": 1.0, "pauli": "XZ"}]
-        assert ib.terms == ()
-
-    def test_imaginary_hamiltonian(self):
-        a, ib = split_hamiltonian(PauliSum.from_terms([(1.0, "XY")]))
-        assert a.terms == ()
-        assert ib.to_records() == [{"coeff": 1.0, "pauli": "XY"}]
-
-    def test_worked_example_split(self):
-        h = PauliSum.from_terms([(1.0, "XY"), (1.0, "XZ")])
-        a, ib = split_hamiltonian(h)
-        assert a.to_records() == [{"coeff": 1.0, "pauli": "XZ"}]
-        assert ib.to_records() == [{"coeff": 1.0, "pauli": "XY"}]
+    """The Y-parity split H = A + iB that `embed_hamiltonian` makes term by term."""
 
     def test_parts_reconstruct(self, rng):
+        y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         for _ in range(20):
             h = random_pauli_sum(rng, 3)
-            a, ib = split_hamiltonian(h)
+            a = PauliSum(n=3, terms=tuple(t for t in h.terms if y_parity(t[1]) == "even"))
+            ib = PauliSum(n=3, terms=tuple(t for t in h.terms if y_parity(t[1]) == "odd"))
             np.testing.assert_allclose(a.dense() + ib.dense(), h.dense(), atol=0)
             # dense forms: A real symmetric, iB purely imaginary
             assert np.max(np.abs(a.dense().imag)) == 0
             assert np.max(np.abs(ib.dense().real)) == 0
+            # and the embedded generator is I (x) iB - Y (x) A
+            np.testing.assert_allclose(embed_hamiltonian(h).operator.dense(),
+                                       np.kron(np.eye(2), ib.dense()) - np.kron(y, a.dense()),
+                                       atol=1e-12)
 
 
 class TestEmbedHamiltonian:
@@ -185,19 +181,20 @@ class TestEmbedHamiltonian:
                 )
 
     def test_imaginarity(self, rng):
-        for _ in range(25):
-            h = random_pauli_sum(rng, 2)
-            tilde = embed_hamiltonian(h)
-            assert all(y_parity(p) == "odd" for _, p in tilde.operator.terms)
-            assert np.max(np.abs(tilde.operator.dense().real)) == 0
+        for n in (2, 3):
+            for _ in range(25):
+                h = random_pauli_sum(rng, n)
+                tilde = embed_hamiltonian(h)
+                assert all(y_parity(p) == "odd" for _, p in tilde.operator.terms)
+                assert np.max(np.abs(tilde.operator.dense().real)) == 0
 
     def test_body_count_overhead(self, rng):
         # n-local terms map to at most (n+1)-local terms
         for _ in range(25):
             h = random_pauli_sum(rng, 4)
-            weights = {p.symbols[1:]: p.weight for _, p in embed_hamiltonian(h).operator.terms}
+            weights = {p.symbols[1:]: locality(p) for _, p in embed_hamiltonian(h).operator.terms}
             for _, p in h.terms:
-                assert weights[p.symbols] <= p.weight + 1
+                assert weights[p.symbols] <= locality(p) + 1
 
 
 class TestEmbedObservable:
@@ -245,6 +242,12 @@ class TestEnlargedState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             EnlargedState(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("arr", [np.eye(2) / np.sqrt(2), np.eye(4) / 2, np.array([[1.0, 0, 0, 0]])],
+                             ids=["2x2", "4x4", "1x4"])
+    def test_a_state_is_one_axis(self, arr):
+        with pytest.raises(DimensionError, match="expected one axis"):
+            EnlargedState(arr)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 6, 12])
     def test_length_is_a_power_of_two_of_at_least_4(self, size):

@@ -45,6 +45,31 @@ def test_plan_validation():
         evolve_trotter(s, h, 1.0, 1, order=3)
 
 
+@pytest.mark.parametrize("value", [2.5, True, np.True_, "2"], ids=repr)
+def test_trotter_refuses_a_non_integer_steps(value):
+    # True == 1, so a bool would run one step
+    s, h = np.array([1.0, 0.0]), PauliSum.from_terms([(1.0, "X")])
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        evolve_trotter(s, h, 1.0, value)
+    for method in ("trotter1", "trotter2"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            evolve(s, h, 1.0, method=method, steps=value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.0], ids=repr)
+def test_trotter_refuses_a_non_integer_order(value):
+    # True == 1 and 2.0 == 2 both lie in (1, 2)
+    s, h = np.array([1.0, 0.0]), PauliSum.from_terms([(1.0, "X")])
+    with pytest.raises(ValueError, match="order must be an integer"):
+        evolve_trotter(s, h, 1.0, 1, order=value)
+
+
+def test_trotter_keeps_numpy_integers():
+    s, h = np.array([1.0, 0.0]), PauliSum.from_terms([(1.0, "X")])
+    np.testing.assert_array_equal(evolve_trotter(s, h, 1.0, np.int64(3), order=np.int32(2)),
+                                  evolve_trotter(s, h, 1.0, 3, order=2))
+
+
 def test_trotter_takes_no_output_buffer():
     s, h = np.array([1.0, 0.0]), PauliSum.from_terms([(1.0, "X")])
     with pytest.raises(TypeError):
@@ -385,7 +410,7 @@ class TestMergedRuns:
     def test_sums_without_commuting_neighbours(self, rng, steps, order):
         for _ in range(5):
             h = _anticommuting_neighbours(rng, 3, int(rng.integers(2, 7)))
-            assert len(h.commuting_runs) == h.num_terms
+            assert len(h.commuting_runs) == len(h.terms)
             psi = random_state(rng, 3).amplitudes
             t = float(rng.uniform(0.1, 2.0))
             out = evolve_trotter(psi, h, t, steps, order)
@@ -442,7 +467,7 @@ class TestMergedRuns:
         assert len(h.commuting_runs) == 1
         psi = random_state(rng, 3).amplitudes
         out = evolve_trotter(psi, h, 1.3, steps, order)
-        assert len(image_calls) == h.num_terms
+        assert len(image_calls) == len(h.terms)
         np.testing.assert_allclose(out, evolve_exact(psi, h, 1.3), atol=1e-14)
 
 

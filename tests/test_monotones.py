@@ -70,9 +70,19 @@ class TestMonotoneSpec:
         assert three_tangle_spec().degree == 1
         assert second_order_spec().degree == 2
 
-    def test_serialization_roundtrip(self):
-        for spec in (concurrence_spec(), three_tangle_spec(), second_order_spec()):
-            assert MonotoneSpec.from_json(spec.to_json()) == spec
+    @pytest.mark.parametrize("data, spec", [
+        ({"name": "concurrence", "n_qubits": 2, "factors": [["Y", "Y"]], "contractions": []},
+         concurrence_spec()),
+        ({"name": "three_tangle", "n_qubits": 3,
+          "factors": [[{"idx": 0}, "Y", "Y"], [{"idx": 1}, "Y", "Y"]], "contractions": [[0, 1]]},
+         three_tangle_spec()),
+        ({"name": "second_order", "n_qubits": 2,
+          "factors": [[{"idx": 0}, {"idx": 2}], [{"idx": 1}, {"idx": 3}]],
+          "contractions": [[0, 1], [2, 3]]},
+         second_order_spec()),
+    ], ids=["concurrence", "three_tangle", "second_order"])
+    def test_from_json_reads_the_presets(self, data, spec):
+        assert MonotoneSpec.from_json(data) == spec
 
     def test_malformed_contractions_rejected(self):
         with pytest.raises(ValueError):

@@ -194,9 +194,6 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString("")
 
-    def test_weight(self):
-        assert PauliString("IXYI").weight == 2
-
 
 class TestPauliSum:
     def test_merges_duplicates_and_drops_zeros(self):
@@ -453,6 +450,14 @@ class TestStates:
         s = PureState.from_amplitudes([1.0 + 1e-9, 0.0])
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("arr", [np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]),
+                                     np.array(1.0)], ids=["2x2", "1x2", "scalar"])
+    def test_a_state_is_one_axis(self, arr):
+        # a (2, 2) array has the 4 entries of a 2-qubit vector
+        for make in (PureState, PureState.from_amplitudes):
+            with pytest.raises(DimensionError, match="expected one axis"):
+                make(arr)
+
     def test_pure_state_immutable(self):
         s = PureState(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(ValueError):
@@ -499,7 +504,5 @@ class TestStates:
             pytest.fail("a 4^N matrix was built before the cap was checked")
 
         monkeypatch.setattr(np, "outer", no_outer)
-        with pytest.raises(CapacityError, match="capped"):
-            MixedState.from_pure(psi)
         with pytest.raises(CapacityError, match="capped"):
             MixedState.from_ensemble([(1.0, psi)])
